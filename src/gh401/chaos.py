@@ -27,7 +27,8 @@ call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,11 +41,26 @@ RK4_STEP = 0.001
 
 
 class OrbitDivergenceError(RuntimeError):
-    """Raised when the trajectory leaves the finite floats."""
+    """Raised when the trajectory leaves the finite floats.
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at iteration {step}")
+    ``step`` is the 0-based row of the full trajectory, transient
+    included, at which the state first stops being finite; ``variable``
+    names the first non-finite coordinate of that row (``"x1"``..``"x6"``).
+    """
+
+    def __init__(self, step: int, variable: str):
+        super().__init__(f"non-finite state at iteration {step} ({variable} left the finite floats)")
         self.step = step
+        self.variable = variable
+
+
+def _finite_floats(obj) -> None:
+    """Store every field of a frozen dataclass as a finite Python float."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__} field {f.name} is not finite: {value!r}")
+        object.__setattr__(obj, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -59,9 +75,7 @@ class SystemParams:
     r: float
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {name} is not finite: {value!r}")
+        _finite_floats(self)
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d, self.e, self.r)
@@ -75,7 +89,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class InitialConditions:
-    """Six real seeds of the orbit.
+    """Six finite real seeds of the orbit.
 
     x2..x6 always lie in [0, 1) when produced by
     :func:`derive_initial_conditions`; x1 is the raw pixel-sum ratio and
@@ -88,6 +102,9 @@ class InitialConditions:
     x4: float
     x5: float
     x6: float
+
+    def __post_init__(self):
+        _finite_floats(self)
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
@@ -118,24 +135,16 @@ def derive_initial_conditions(pixels: np.ndarray) -> InitialConditions:
 class DynamicalSystem:
     """Deterministic map on 6-vectors of reals.
 
-    Subclasses implement :meth:`step`; they may also override
-    :meth:`iterate` with a fused loop for speed, provided the fused loop
-    produces bitwise-identical states to repeated ``step`` calls.
+    A system is its :meth:`iterate`: the one update rule, applied
+    ``n_transient + n_keep`` times to ``state`` (a 6-tuple of floats).
+    It returns the last ``n_keep`` states as an ``(n_keep, 6)`` float64
+    array, row i holding the state after update ``n_transient + i + 1``.
     """
 
     name: str = ""
 
-    def step(self, state, params: SystemParams):
-        """Advance one iteration.  ``state`` is a 6-tuple of floats."""
-        raise NotImplementedError
-
     def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
-        rows = []
-        for i in range(n_transient + n_keep):
-            state = self.step(state, params)
-            if i >= n_transient:
-                rows.append(state)
-        return np.array(rows, dtype=np.float64)
+        raise NotImplementedError
 
 
 class ReferenceTestMap(DynamicalSystem):
@@ -155,48 +164,29 @@ class ReferenceTestMap(DynamicalSystem):
 
     RHO = tuple(3.99 + 0.001 * j for j in (1, 2, 3, 4, 5, 6))
 
-    def step(self, state, params: SystemParams):
-        r1, r2, r3, r4, r5, r6 = self.RHO
-        w1, w2, w3, w4, w5, w6 = (abs(v) - math.floor(abs(v)) for v in state)
-        floor = math.floor
-        n1 = r1 * w1 * (1.0 - w1) + 0.1 * w2
-        n2 = r2 * w2 * (1.0 - w2) + 0.1 * w3
-        n3 = r3 * w3 * (1.0 - w3) + 0.1 * w4
-        n4 = r4 * w4 * (1.0 - w4) + 0.1 * w5
-        n5 = r5 * w5 * (1.0 - w5) + 0.1 * w6
-        n6 = r6 * w6 * (1.0 - w6) + 0.1 * w1
-        return (n1 - floor(n1), n2 - floor(n2), n3 - floor(n3),
-                n4 - floor(n4), n5 - floor(n5), n6 - floor(n6))
-
     def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
-        # Fused version of step(); kept textually in sync (see tests).
         r1, r2, r3, r4, r5, r6 = self.RHO
         floor = math.floor
-        y1, y2, y3, y4, y5, y6 = state
-        rows = []
-        append = rows.append
-        for i in range(n_transient + n_keep):
-            w1 = abs(y1); w1 -= floor(w1)
-            w2 = abs(y2); w2 -= floor(w2)
-            w3 = abs(y3); w3 -= floor(w3)
-            w4 = abs(y4); w4 -= floor(w4)
-            w5 = abs(y5); w5 -= floor(w5)
-            w6 = abs(y6); w6 -= floor(w6)
-            n1 = r1 * w1 * (1.0 - w1) + 0.1 * w2
-            n2 = r2 * w2 * (1.0 - w2) + 0.1 * w3
-            n3 = r3 * w3 * (1.0 - w3) + 0.1 * w4
-            n4 = r4 * w4 * (1.0 - w4) + 0.1 * w5
-            n5 = r5 * w5 * (1.0 - w5) + 0.1 * w6
-            n6 = r6 * w6 * (1.0 - w6) + 0.1 * w1
+        # Wrap once on entry.  Every later state is n - floor(n) with n >= 0,
+        # already in [0, 1), so wrapping it again would be an exact identity.
+        y1, y2, y3, y4, y5, y6 = (_frac(abs(v)) for v in state)
+        rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
+        extend = rows.extend
+        for _ in range(n_transient + n_keep):
+            n1 = r1 * y1 * (1.0 - y1) + 0.1 * y2
+            n2 = r2 * y2 * (1.0 - y2) + 0.1 * y3
+            n3 = r3 * y3 * (1.0 - y3) + 0.1 * y4
+            n4 = r4 * y4 * (1.0 - y4) + 0.1 * y5
+            n5 = r5 * y5 * (1.0 - y5) + 0.1 * y6
+            n6 = r6 * y6 * (1.0 - y6) + 0.1 * y1
             y1 = n1 - floor(n1)
             y2 = n2 - floor(n2)
             y3 = n3 - floor(n3)
             y4 = n4 - floor(n4)
             y5 = n5 - floor(n5)
             y6 = n6 - floor(n6)
-            if i >= n_transient:
-                append((y1, y2, y3, y4, y5, y6))
-        return np.array(rows, dtype=np.float64)
+            extend((y1, y2, y3, y4, y5, y6))
+        return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
 
 
 class Hosny6D(DynamicalSystem):
@@ -213,62 +203,65 @@ class Hosny6D(DynamicalSystem):
         dx6/dt = r*x1
 
     One iteration advances the flow by the fixed step ``RK4_STEP`` with
-    the classical fourth-order Runge-Kutta rule.  The default parameters
-    (10, 8/3, 28, -1, 8, 3) sit in the hyperchaotic regime.
+    the classical fourth-order Runge-Kutta rule, evaluated in exactly the
+    order x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), stage states x + (0.5*h)*k.
+    The default parameters (10, 8/3, 28, -1, 8, 3) sit in the
+    hyperchaotic regime.
     """
 
     name = "hosny6d"
 
     DEFAULT_PARAMS = SystemParams(10.0, 8.0 / 3.0, 28.0, -1.0, 8.0, 3.0)
 
-    @staticmethod
-    def _deriv(s, a, b, c, d, e, r):
-        x1, x2, x3, x4, x5, x6 = s
-        return (
-            a * (x2 - x1) + x4 - x6,
-            c * x1 - x2 - x1 * x3 + x5,
-            x1 * x2 - b * x3,
-            d * x4 - x1 * x3,
-            -e * x2,
-            r * x1,
-        )
-
-    def step(self, state, params: SystemParams):
-        a, b, c, d, e, r = params.as_tuple()
-        h = RK4_STEP
-        k1 = self._deriv(state, a, b, c, d, e, r)
-        s2 = tuple(state[i] + 0.5 * h * k1[i] for i in range(6))
-        k2 = self._deriv(s2, a, b, c, d, e, r)
-        s3 = tuple(state[i] + 0.5 * h * k2[i] for i in range(6))
-        k3 = self._deriv(s3, a, b, c, d, e, r)
-        s4 = tuple(state[i] + h * k3[i] for i in range(6))
-        k4 = self._deriv(s4, a, b, c, d, e, r)
-        return tuple(
-            state[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(6)
-        )
-
     def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
         a, b, c, d, e, r = params.as_tuple()
+        ne = -e
         h = RK4_STEP
-        deriv = self._deriv
-        rows = []
-        append = rows.append
-        for i in range(n_transient + n_keep):
-            k1 = deriv(state, a, b, c, d, e, r)
-            s2 = tuple(state[j] + 0.5 * h * k1[j] for j in range(6))
-            k2 = deriv(s2, a, b, c, d, e, r)
-            s3 = tuple(state[j] + 0.5 * h * k2[j] for j in range(6))
-            k3 = deriv(s3, a, b, c, d, e, r)
-            s4 = tuple(state[j] + h * k3[j] for j in range(6))
-            k4 = deriv(s4, a, b, c, d, e, r)
-            state = tuple(
-                state[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                for j in range(6)
-            )
-            if i >= n_transient:
-                append(state)
-        return np.array(rows, dtype=np.float64)
+        hh, h6 = 0.5 * h, h / 6.0
+        x1, x2, x3, x4, x5, x6 = state
+        rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
+        extend = rows.extend
+        for _ in range(n_transient + n_keep):
+            # k1 = f(x)
+            p13 = x1 * x3
+            k11 = a * (x2 - x1) + x4 - x6
+            k12 = c * x1 - x2 - p13 + x5
+            k13 = x1 * x2 - b * x3
+            k14 = d * x4 - p13
+            k15 = ne * x2
+            k16 = r * x1
+            # k2 = f(x + (h/2) k1)
+            s1, s2, s3 = x1 + hh * k11, x2 + hh * k12, x3 + hh * k13
+            s4, s5, s6 = x4 + hh * k14, x5 + hh * k15, x6 + hh * k16
+            p13 = s1 * s3
+            k21 = a * (s2 - s1) + s4 - s6
+            k22 = c * s1 - s2 - p13 + s5
+            k23 = s1 * s2 - b * s3
+            k24 = d * s4 - p13
+            k25 = ne * s2
+            k26 = r * s1
+            # k3 = f(x + (h/2) k2)
+            s1, s2, s3 = x1 + hh * k21, x2 + hh * k22, x3 + hh * k23
+            s4, s5, s6 = x4 + hh * k24, x5 + hh * k25, x6 + hh * k26
+            p13 = s1 * s3
+            k31 = a * (s2 - s1) + s4 - s6
+            k32 = c * s1 - s2 - p13 + s5
+            k33 = s1 * s2 - b * s3
+            k34 = d * s4 - p13
+            k35 = ne * s2
+            k36 = r * s1
+            # k4 = f(x + h k3), folded into the update
+            s1, s2, s3 = x1 + h * k31, x2 + h * k32, x3 + h * k33
+            s4, s5, s6 = x4 + h * k34, x5 + h * k35, x6 + h * k36
+            p13 = s1 * s3
+            x1 += h6 * (((k11 + 2.0 * k21) + 2.0 * k31) + (a * (s2 - s1) + s4 - s6))
+            x2 += h6 * (((k12 + 2.0 * k22) + 2.0 * k32) + (c * s1 - s2 - p13 + s5))
+            x3 += h6 * (((k13 + 2.0 * k23) + 2.0 * k33) + (s1 * s2 - b * s3))
+            x4 += h6 * (((k14 + 2.0 * k24) + 2.0 * k34) + (d * s4 - p13))
+            x5 += h6 * (((k15 + 2.0 * k25) + 2.0 * k35) + ne * s2)
+            x6 += h6 * (((k16 + 2.0 * k26) + 2.0 * k36) + r * s1)
+            extend((x1, x2, x3, x4, x5, x6))
+        return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
 
 
 _SYSTEMS: dict[str, DynamicalSystem] = {}
@@ -327,15 +320,18 @@ def generate_orbit(system: DynamicalSystem, ic: InitialConditions,
 
     Returns a (length, 6) float64 array, column j holding state variable
     j+1.  Raises :class:`OrbitDivergenceError` naming the first bad
-    iteration if the trajectory leaves the finite floats.
+    iteration, transient included, and its first non-finite variable if
+    the trajectory leaves the finite floats.
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
     orbit = system.iterate(ic.as_tuple(), params, TRANSIENT_LENGTH, length)
-    finite_rows = np.isfinite(orbit).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
-        raise OrbitDivergenceError(TRANSIENT_LENGTH + bad)
+    if not np.isfinite(orbit).all():
+        # Error path only: replay with the transient kept, so a divergence
+        # inside the transient is reported at its real row.
+        full = system.iterate(ic.as_tuple(), params, 0, TRANSIENT_LENGTH + length)
+        row, col = np.argwhere(~np.isfinite(full))[0]
+        raise OrbitDivergenceError(int(row), f"x{col + 1}")
     return orbit
 
 

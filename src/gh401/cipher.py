@@ -105,10 +105,14 @@ class SideChannelFile:
     def validate(self) -> None:
         if len(self.perms) != len(self.checksums) or not self.perms:
             raise ValueError("side-channel file must hold one permutation and checksum per round")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"side-channel file is for a {self.width}x{self.height} image")
         mn = self.width * self.height
         for k, perm in enumerate(self.perms):
             if perm.size != mn:
                 raise ValueError(f"round {k + 1} permutation has {perm.size} entries, expected {mn}")
+            if perm.min() < 0 or perm.max() >= mn:
+                raise ValueError(f"round {k + 1} permutation has indices outside [0, {mn})")
             counts = np.bincount(perm, minlength=mn)
             if counts.max() != 1:
                 raise ValueError(f"round {k + 1} permutation is not a bijection")
@@ -123,6 +127,8 @@ class SideChannelFile:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
+        if len(data) < 16:
+            raise ValueError(f"side-channel file is {len(data)} bytes, shorter than its 16-byte header")
         if data[:4] != SS_MAGIC:
             raise ValueError("not a side-channel file (bad magic)")
         rounds, width, height = struct.unpack_from("<III", data, 4)

@@ -6,7 +6,8 @@ UTF-8 text files; IEAHF side-channel data as the binary SSX1 format.
 
 Exit codes (stable):
     0  success
-    2  validation error (bad arguments, malformed inputs, odd dimensions)
+    2  validation error (bad arguments, malformed inputs, odd dimensions,
+       key parameters whose orbit leaves the finite floats)
     3  I/O error (missing or unreadable files)
     4  crypto mismatch (wrong side-channel file, envelope, or S-box)
 """
@@ -79,19 +80,21 @@ def cmd_encrypt(args) -> int:
         rounds = args.rounds if args.rounds is not None else 2
         cipher_img, side = cipher.encrypt_ieahf(img, params, rounds, system=args.system)
         ss_path = args.ss or _default_out(args.input, ".ss")
+        data = side.to_bytes()
         write_pgm(out, cipher_img)
-        _write_atomic(ss_path, side.to_bytes())
+        _write_atomic(ss_path, data)
         print(f"ciphertext: {out}")
-        print(f"side-channel file: {ss_path} ({len(side.to_bytes())} bytes)")
+        print(f"side-channel file: {ss_path} ({len(data)} bytes)")
     else:
         rounds = args.rounds if args.rounds is not None else cipher.DEFAULT_GH401_ROUNDS
         sbox = _resolve_sbox(args.sbox)
         cipher_img, env = cipher.encrypt_gh401(img, params, rounds, sbox, system=args.system)
         key_path = args.key or _default_out(args.input, ".key")
+        data = env.to_text().encode("utf-8")
         write_pgm(out, cipher_img)
-        _write_atomic(key_path, env.to_text().encode("utf-8"))
+        _write_atomic(key_path, data)
         print(f"ciphertext: {out}")
-        print(f"key envelope: {key_path} ({len(env.to_text())} bytes)")
+        print(f"key envelope: {key_path} ({len(data)} bytes)")
     return EXIT_OK
 
 
@@ -327,7 +330,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, chaos.OrbitDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

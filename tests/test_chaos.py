@@ -1,5 +1,6 @@
 """Keystream layer: seed derivation, orbits, sorting sequence, whitening."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -82,18 +83,45 @@ def test_orbit_bitwise_deterministic(name):
     assert np.array_equal(o1, o2)
 
 
+# SHA-256 of generate_orbit(...).tobytes() for a 64x64 seeded image, 5464
+# kept rows (a 64x64 GH401 encrypt at 4 rounds).  Recorded from the earlier
+# implementation that kept a per-step rule beside the fused loop, so they
+# pin the single unrolled rule to the same bits.  "drawn7" uses draw_params;
+# "odd" seeds exercise the reftestmap entry wrap: negative, far above 1,
+# zero, a half-integer, negative zero, just below 1.
+GOLDEN_ORBIT_LENGTH = 5464
+GOLDEN_ORBIT_SHA256 = {
+    "hosny6d-default": "f9432c1583eedc0948c1d14fc26039018fd57600184bb7eac8a0bd8d84ee7f88",
+    "hosny6d-drawn7": "340f9d24e5ed724c6020d0de20acc8bcdd459a1fc913695fa670579cedf7789d",
+    "reftestmap-default": "fed88cafdb087518a313728498adab3ed9c84ef541289075968e2ef5fd0319c5",
+    "reftestmap-odd": "b12065d09ec03ab20eb5afa96182320c40f179227c05d7ad327beed74bfbb7e2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ORBIT_SHA256))
+def test_golden_orbit_digests(case):
+    ic = chaos.derive_initial_conditions(
+        np.random.default_rng(0).integers(0, 256, (64, 64)).astype(np.uint8))
+    odd = chaos.InitialConditions(-3.7, 1e6 + 0.25, 0.0, 5.5, -0.0, 0.999999999)
+    name, variant = case.split("-")
+    params = chaos.draw_params(name, 7) if variant == "drawn7" else chaos.default_params(name)
+    seeds = odd if variant == "odd" else ic
+    orbit = chaos.generate_orbit(chaos.get_system(name), seeds, params, GOLDEN_ORBIT_LENGTH)
+    assert orbit.shape == (GOLDEN_ORBIT_LENGTH, 6) and orbit.dtype == np.float64
+    assert hashlib.sha256(orbit.tobytes()).hexdigest() == GOLDEN_ORBIT_SHA256[case]
+
+
 @pytest.mark.parametrize("name", ["reftestmap", "hosny6d"])
-def test_step_matches_fused_iterate(name):
+def test_iterate_contract(name):
+    # iterate keeps the last n_keep of n_transient + n_keep states, so a
+    # split transient is the tail of one unsplit run.
     system = chaos.get_system(name)
     params = chaos.default_params(name)
     state = chaos.derive_initial_conditions(black((16, 16))).as_tuple()
-    stepped = []
-    cur = state
-    for _ in range(100):
-        cur = system.step(cur, params)
-        stepped.append(cur)
-    fused = system.iterate(state, params, 0, 100)
-    assert np.array_equal(np.array(stepped), fused)
+    full = system.iterate(state, params, 0, 100)
+    assert full.shape == (100, 6) and full.dtype == np.float64
+    assert np.array_equal(system.iterate(state, params, 40, 60), full[40:])
+    assert system.iterate(state, params, 5, 0).shape == (0, 6)
 
 
 def test_golden_orbit_row():
@@ -103,13 +131,31 @@ def test_golden_orbit_row():
 
 
 def test_orbit_divergence_names_step():
-    # Explosive parameters drive the flow to infinity almost immediately.
+    # Explosive parameters drive the flow to infinity in the first update,
+    # well inside the transient.
     system = chaos.get_system("hosny6d")
     bad = chaos.SystemParams(1e100, 1, 1, 1, 1, 1)
     ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     with pytest.raises(chaos.OrbitDivergenceError) as err:
         chaos.generate_orbit(system, ic, bad, 10)
-    assert "iteration" in str(err.value)
+    assert str(err.value).startswith("non-finite state at iteration 0 ")
+    assert (err.value.step, err.value.variable) == (0, "x1")
+
+
+def test_orbit_divergence_inside_transient_names_first_bad_row():
+    # d = 100 makes x4 grow about 10% per step; x2 overflows first, mid-transient.
+    system = chaos.get_system("hosny6d")
+    params = chaos.SystemParams(10.0, 8.0 / 3.0, 28.0, 100.0, 8.0, 3.0)
+    ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    with pytest.raises(chaos.OrbitDivergenceError) as err:
+        chaos.generate_orbit(system, ic, params, 10)
+    step = err.value.step
+    assert 0 < step < chaos.TRANSIENT_LENGTH
+    full = system.iterate(ic.as_tuple(), params, 0, step + 1)
+    assert np.isfinite(full[:step]).all()
+    bad_cols = np.flatnonzero(~np.isfinite(full[step]))
+    assert err.value.variable == f"x{bad_cols[0] + 1}"
+    assert f"iteration {step} ({err.value.variable} " in str(err.value)
 
 
 def test_generate_orbit_rejects_zero_length():
@@ -231,6 +277,19 @@ def test_default_and_drawn_params():
 def test_params_reject_nonfinite():
     with pytest.raises(ValueError):
         chaos.SystemParams(1.0, float("inf"), 1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_initial_conditions_reject_nonfinite(bad):
+    with pytest.raises(ValueError, match="x3 is not finite"):
+        chaos.InitialConditions(0.1, 0.2, bad, 0.4, 0.5, 0.6)
+
+
+def test_params_and_seeds_are_python_floats():
+    drawn = chaos.draw_params("hosny6d", 7)
+    assert all(type(v) is float for v in drawn.as_tuple())
+    ic = chaos.InitialConditions(*np.linspace(0.1, 0.6, 6))
+    assert all(type(v) is float for v in ic.as_tuple())
 
 
 def test_reftestmap_wraps_out_of_range_seeds():

@@ -1,5 +1,7 @@
 """PGM I/O and the command-line front end."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,64 @@ def test_cli_compare_schema(tmp_path, rng):
     assert "ieahf.differential.mean_npcr=" in text
     assert "gh401.differential.mean_npcr=" in text
     assert "third-party schemes are not implemented" in text
+
+
+@pytest.mark.parametrize("scheme, flag, label", [("GH401", "--key", "key envelope"),
+                                                 ("IEAHF", "--ss", "side-channel file")])
+def test_cli_encrypt_prints_written_key_size(tmp_path, rng, capsys, scheme, flag, label):
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    key = tmp_path / "p.keyfile"
+    assert cli.main(["encrypt", src, "--scheme", scheme, "--seed", "3",
+                     "--out", str(tmp_path / "c.pgm"), flag, str(key)]) == 0
+    out = capsys.readouterr().out
+    assert f"{label}: {key} ({key.stat().st_size} bytes)\n" in out
+
+
+def _gh401_envelope(tmp_path, system):
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    enc, key = tmp_path / "c.pgm", tmp_path / "c.key"
+    assert cli.main(["encrypt", src, "--scheme", "GH401", "--system", system,
+                     "--out", str(enc), "--key", str(key)]) == 0
+    return enc, key
+
+
+def _set_field(key, field, value):
+    lines = key.read_text().splitlines()
+    lines = [f"{field}={value}" if ln.startswith(f"{field}=") else ln for ln in lines]
+    key.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_diverging_envelope_is_validation_error(tmp_path, capsys):
+    enc, key = _gh401_envelope(tmp_path, "hosny6d")
+    _set_field(key, "a", "1e300")
+    capsys.readouterr()
+    code = cli.main(["decrypt", str(enc), "--key", str(key), "--out", str(tmp_path / "d.pgm")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: non-finite state at iteration 0 ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("system", ["hosny6d", "reftestmap"])
+def test_cli_nan_seed_envelope_is_validation_error(tmp_path, capsys, system):
+    enc, key = _gh401_envelope(tmp_path, system)
+    _set_field(key, "x1", "nan")
+    capsys.readouterr()
+    code = cli.main(["decrypt", str(enc), "--key", str(key), "--out", str(tmp_path / "d.pgm")])
+    assert code == cli.EXIT_VALIDATION
+    assert "x1 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"SSX1" + struct.pack("<III", 1, 2, 2) + struct.pack("<4I", 1, 2, 3, 4) + bytes(4),
+     "indices outside [0, 4)"),
+    (b"SSX1\x01\x00", "shorter than its 16-byte header"),
+    (b"SSX1" + struct.pack("<III", 1, 0, 2) + bytes(4), "for a 0x2 image"),
+], ids=["index-out-of-range", "short-header", "empty-image"])
+def test_cli_malformed_side_file_is_validation_error(tmp_path, capsys, blob, message):
+    src = write_image(tmp_path / "c.pgm", np.zeros((2, 2), dtype=np.uint8))
+    ss = tmp_path / "c.ss"
+    ss.write_bytes(blob)
+    code = cli.main(["decrypt", src, "--ss", str(ss), "--out", str(tmp_path / "d.pgm")])
+    assert code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
