@@ -9,7 +9,7 @@ reported number can be recomputed bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +170,6 @@ class AnalysisReport:
     uaci: float | None
     pairs: int
     seed: int
-    extras: dict = field(default_factory=dict)
 
 
 def full_report(cipher: np.ndarray, plain: np.ndarray | None = None,
@@ -234,8 +233,6 @@ def report_to_text(report: AnalysisReport, title: str = "analysis") -> str:
     if report.npcr is not None:
         lines.append(f"{title}.npcr={report.npcr:.6f}")
         lines.append(f"{title}.uaci={report.uaci:.6f}")
-    for key, value in sorted(report.extras.items()):
-        lines.append(f"{title}.{key}={value}")
     hist = ",".join(str(int(v)) for v in report.histogram)
     lines.append(f"{title}.histogram={hist}")
     return "\n".join(lines) + "\n"

@@ -80,12 +80,6 @@ class SystemParams:
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d, self.e, self.r)
 
-    def as_dict(self):
-        return {
-            "a": self.a, "b": self.b, "c": self.c,
-            "d": self.d, "e": self.e, "r": self.r,
-        }
-
 
 @dataclass(frozen=True)
 class InitialConditions:

@@ -15,6 +15,10 @@ GH401 (hardened)
     the round offset k, apply the incremented Q-matrix diffusion, then
     the S-box.  Decryption needs only the compact key envelope.
 
+IEAHF permutes with offset 0 and diffuses with bias 0; GH401 uses the
+round number as offset and bias 1.  :func:`encrypt` and :func:`decrypt`
+are the one place that picks a pipeline and its default round count.
+
 Images are 2-D uint8 arrays with even dimensions, flattened row-major
 wherever the pipelines work on pixel vectors.
 """
@@ -40,12 +44,14 @@ from gh401.chaos import (
     get_system,
     rows_for_sequence,
 )
-from gh401.diffuse import diffuse_gh401, diffuse_ieahf, inverse_diffuse
-from gh401.permute import SCHEME_GH401, SCHEME_IEAHF, invert_permute, permute_gh401, permute_ieahf
+from gh401.diffuse import diffuse, inverse_diffuse
+from gh401.permute import invert_permute, permute
 from gh401.sbox import SBox8
 
+SCHEME_IEAHF = "IEAHF"
+SCHEME_GH401 = "GH401"
+DEFAULT_ROUNDS = {SCHEME_IEAHF: 2, SCHEME_GH401: 4}
 DEFAULT_SYSTEM = "reftestmap"
-DEFAULT_GH401_ROUNDS = 4
 
 SS_MAGIC = b"SSX1"
 
@@ -91,6 +97,8 @@ class SideChannelFile:
     Binary layout: magic ``SSX1``, then rounds, width, height as 32-bit
     little-endian, then per round width*height 32-bit little-endian
     0-based indices followed by a 32-bit CRC32 of the post-round image.
+    Construction checks that every round holds a bijection on
+    [0, width*height), so serialization and decryption need not.
     """
 
     width: int
@@ -98,11 +106,7 @@ class SideChannelFile:
     perms: list
     checksums: list
 
-    @property
-    def rounds(self) -> int:
-        return len(self.perms)
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(self.perms) != len(self.checksums) or not self.perms:
             raise ValueError("side-channel file must hold one permutation and checksum per round")
         if self.width < 1 or self.height < 1:
@@ -117,8 +121,11 @@ class SideChannelFile:
             if counts.max() != 1:
                 raise ValueError(f"round {k + 1} permutation is not a bijection")
 
+    @property
+    def rounds(self) -> int:
+        return len(self.perms)
+
     def to_bytes(self) -> bytes:
-        self.validate()
         out = [SS_MAGIC, struct.pack("<III", self.rounds, self.width, self.height)]
         for perm, cks in zip(self.perms, self.checksums):
             out.append(np.asarray(perm, dtype="<u4").tobytes())
@@ -145,9 +152,7 @@ class SideChannelFile:
             off += 4
             perms.append(perm)
             checksums.append(cks)
-        side = cls(width=width, height=height, perms=perms, checksums=checksums)
-        side.validate()
-        return side
+        return cls(width=width, height=height, perms=perms, checksums=checksums)
 
 
 @dataclass
@@ -183,6 +188,10 @@ class KeyEnvelope:
                 raise ValueError("GH401 envelopes carry a 16-byte whitening key")
             if not self.sbox_name:
                 raise ValueError("GH401 envelopes carry an S-box name")
+
+    @property
+    def rounds(self) -> int:
+        return self.n
 
     _IC_FIELDS = ("x1", "x2", "x3", "x4", "x5", "x6")
     _PARAM_FIELDS = ("a", "b", "c", "d", "e", "r")
@@ -222,6 +231,28 @@ class KeyEnvelope:
         sbox_name = fields.get("sbox")
         return cls(scheme=scheme, system=fields["system"], ic=ic, params=params,
                    n=int(fields["n"]), whitening=whitening, sbox_name=sbox_name)
+
+
+def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """IEAHF permutation: R[i] = P[S[i]]."""
+    return permute(p, s, 0)
+
+
+def permute_gh401(p: np.ndarray, s: np.ndarray, round_no: int) -> np.ndarray:
+    """GH401 permutation: R[i] = (P[S[i]] + round) mod 256, rounds numbered from 1."""
+    if round_no < 1:
+        raise ValueError("round number starts at 1")
+    return permute(p, s, round_no)
+
+
+def diffuse_ieahf(img: np.ndarray) -> np.ndarray:
+    """IEAHF diffusion: per 2x2 block, (B @ A) mod 256."""
+    return diffuse(img, 0)
+
+
+def diffuse_gh401(img: np.ndarray) -> np.ndarray:
+    """GH401 diffusion: per 2x2 block, ((B + 1) @ A + 1) mod 256."""
+    return diffuse(img, 1)
 
 
 def _round_permutation(orbit_rows: np.ndarray, mn: int) -> np.ndarray:
@@ -265,14 +296,13 @@ def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
     if (side.width, side.height) != (w, h):
         raise ValueError(
             f"side-channel file is for {side.width}x{side.height}, image is {w}x{h}")
-    side.validate()
     cur = cipher
     for k in reversed(range(side.rounds)):
         if _crc32(cur) != side.checksums[k]:
             raise ChecksumMismatchError(
                 f"round {k + 1} checksum mismatch: wrong side-channel file for this ciphertext")
-        undiffused = inverse_diffuse(cur, SCHEME_IEAHF)
-        restored = invert_permute(undiffused.reshape(-1), side.perms[k], 0, SCHEME_IEAHF)
+        undiffused = inverse_diffuse(cur, 0)
+        restored = invert_permute(undiffused.reshape(-1), side.perms[k], 0)
         cur = restored.reshape(h, w)
     return cur
 
@@ -327,10 +357,35 @@ def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarr
     for k in range(env.n, 0, -1):
         s = _round_permutation(orbit[(k - 1) * rows:k * rows], mn)
         cur = sbox.inverse[cur]
-        cur = inverse_diffuse(cur.reshape(h, w), SCHEME_GH401).reshape(-1)
-        cur = invert_permute(cur, s, k, SCHEME_GH401)
+        cur = inverse_diffuse(cur.reshape(h, w), 1).reshape(-1)
+        cur = invert_permute(cur, s, k)
         cur = cur ^ mask
     return cur.reshape(h, w)
+
+
+def encrypt(scheme: str, img: np.ndarray, params: SystemParams, rounds: int | None = None,
+            sbox: SBox8 | None = None, system=DEFAULT_SYSTEM):
+    """Encrypt with either scheme; returns (ciphertext, key material).
+
+    The key material is a :class:`SideChannelFile` for IEAHF and a
+    :class:`KeyEnvelope` for GH401.  ``rounds`` defaults to the scheme's
+    ``DEFAULT_ROUNDS`` entry; ``sbox`` is used by GH401 only.
+    """
+    if scheme not in DEFAULT_ROUNDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    n = DEFAULT_ROUNDS[scheme] if rounds is None else rounds
+    if scheme == SCHEME_IEAHF:
+        return encrypt_ieahf(img, params, n, system=system)
+    return encrypt_gh401(img, params, n, sbox, system=system)
+
+
+def decrypt(cipher: np.ndarray, key, sbox: SBox8 | None = None) -> np.ndarray:
+    """Invert :func:`encrypt`, picking the scheme from the key material's type."""
+    if isinstance(key, SideChannelFile):
+        return decrypt_ieahf(cipher, key)
+    if isinstance(key, KeyEnvelope):
+        return decrypt_gh401(cipher, key, sbox)
+    raise TypeError(f"expected a SideChannelFile or KeyEnvelope, got {type(key).__name__}")
 
 
 def key_space_bits(n: int) -> float:
@@ -356,7 +411,7 @@ def _nominal_envelope_bytes() -> int:
     ic = derive_initial_conditions(np.zeros((256, 256), dtype=np.uint8))
     env = KeyEnvelope(scheme=SCHEME_GH401, system="hosny6d", ic=ic,
                       params=Hosny6D.DEFAULT_PARAMS,
-                      n=DEFAULT_GH401_ROUNDS, whitening=bytes(16), sbox_name="aes")
+                      n=DEFAULT_ROUNDS[SCHEME_GH401], whitening=bytes(16), sbox_name="aes")
     return len(env.to_text().encode("utf-8"))
 
 

@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from gh401 import analysis, chaos, cipher
-from gh401.image_io import read_pgm, write_pgm
-from gh401.permute import SCHEME_GH401, SCHEME_IEAHF
+from gh401.cipher import SCHEME_GH401, SCHEME_IEAHF
+from gh401.image_io import read_pgm, write_atomic, write_pgm
 from gh401.sbox import bundled_sbox, load_sbox, transparency_order
 
 EXIT_OK = 0
@@ -34,16 +34,9 @@ EXIT_MISMATCH = 4
 _BUNDLED_SBOXES = ("aes", "identity")
 
 
-def _write_atomic(path, data: bytes) -> None:
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _emit(text: str, report_path) -> None:
     if report_path:
-        _write_atomic(report_path, text.encode("utf-8"))
+        write_atomic(report_path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -54,17 +47,20 @@ def _resolve_sbox(value: str):
     return load_sbox(value)
 
 
+def _sbox_for(scheme: str, args):
+    """The --sbox table for GH401; IEAHF has no S-box stage, so none is loaded."""
+    return _resolve_sbox(args.sbox) if scheme == SCHEME_GH401 else None
+
+
 def _seeded_params(args) -> chaos.SystemParams:
     if args.seed is not None:
         return chaos.draw_params(args.system, args.seed)
     return chaos.default_params(args.system)
 
 
-def _params_for(args) -> chaos.SystemParams:
-    if getattr(args, "key", None):
-        with open(args.key, "r", encoding="utf-8") as fh:
-            return cipher.KeyEnvelope.from_text(fh.read()).params
-    return _seeded_params(args)
+def _read_envelope(path) -> cipher.KeyEnvelope:
+    with open(path, "r", encoding="utf-8") as fh:
+        return cipher.KeyEnvelope.from_text(fh.read())
 
 
 def _default_out(input_path: str, suffix: str) -> str:
@@ -75,26 +71,18 @@ def _default_out(input_path: str, suffix: str) -> str:
 def cmd_encrypt(args) -> int:
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".enc.pgm")
-    params = _seeded_params(args)
+    cipher_img, key = cipher.encrypt(args.scheme, img, _seeded_params(args), args.rounds,
+                                     _sbox_for(args.scheme, args), system=args.system)
     if args.scheme == SCHEME_IEAHF:
-        rounds = args.rounds if args.rounds is not None else 2
-        cipher_img, side = cipher.encrypt_ieahf(img, params, rounds, system=args.system)
-        ss_path = args.ss or _default_out(args.input, ".ss")
-        data = side.to_bytes()
-        write_pgm(out, cipher_img)
-        _write_atomic(ss_path, data)
-        print(f"ciphertext: {out}")
-        print(f"side-channel file: {ss_path} ({len(data)} bytes)")
+        label, key_path = "side-channel file", args.ss or _default_out(args.input, ".ss")
+        data = key.to_bytes()
     else:
-        rounds = args.rounds if args.rounds is not None else cipher.DEFAULT_GH401_ROUNDS
-        sbox = _resolve_sbox(args.sbox)
-        cipher_img, env = cipher.encrypt_gh401(img, params, rounds, sbox, system=args.system)
-        key_path = args.key or _default_out(args.input, ".key")
-        data = env.to_text().encode("utf-8")
-        write_pgm(out, cipher_img)
-        _write_atomic(key_path, data)
-        print(f"ciphertext: {out}")
-        print(f"key envelope: {key_path} ({len(data)} bytes)")
+        label, key_path = "key envelope", args.key or _default_out(args.input, ".key")
+        data = key.to_text().encode("utf-8")
+    write_pgm(out, cipher_img)
+    write_atomic(key_path, data)
+    print(f"ciphertext: {out}")
+    print(f"{label}: {key_path} ({len(data)} bytes)")
     return EXIT_OK
 
 
@@ -103,27 +91,18 @@ def cmd_decrypt(args) -> int:
     out = args.out or _default_out(args.input, ".dec.pgm")
     if args.ss:
         with open(args.ss, "rb") as fh:
-            side = cipher.SideChannelFile.from_bytes(fh.read())
-        plain = cipher.decrypt_ieahf(img, side)
+            key, sbox = cipher.SideChannelFile.from_bytes(fh.read()), None
     elif args.key:
-        with open(args.key, "r", encoding="utf-8") as fh:
-            env = cipher.KeyEnvelope.from_text(fh.read())
-        sbox = _resolve_sbox(args.sbox)
-        plain = cipher.decrypt_gh401(img, env, sbox)
+        key, sbox = _read_envelope(args.key), _resolve_sbox(args.sbox)
     else:
         raise ValueError("decrypt needs --key (GH401 envelope) or --ss (IEAHF side-channel file)")
-    write_pgm(out, plain)
+    write_pgm(out, cipher.decrypt(img, key, sbox))
     print(f"plaintext: {out}")
     return EXIT_OK
 
 
-def _encrypt_closure(args, params):
-    if args.scheme == SCHEME_IEAHF:
-        rounds = args.rounds if args.rounds is not None else 2
-        return lambda im: cipher.encrypt_ieahf(im, params, rounds, system=args.system)[0]
-    rounds = args.rounds if args.rounds is not None else cipher.DEFAULT_GH401_ROUNDS
-    sbox = _resolve_sbox(args.sbox)
-    return lambda im: cipher.encrypt_gh401(im, params, rounds, sbox, system=args.system)[0]
+def _encrypt_fn(scheme, params, rounds, sbox, system):
+    return lambda im: cipher.encrypt(scheme, im, params, rounds, sbox, system=system)[0]
 
 
 def cmd_analyze(args) -> int:
@@ -132,11 +111,15 @@ def cmd_analyze(args) -> int:
     report = analysis.full_report(img, plain, pairs=args.pairs, seed=args.seed or 0)
     text = analysis.report_to_text(report, title="image")
     if args.differential:
-        params = _params_for(args)
-        encrypt_fn = _encrypt_closure(args, params)
+        if args.key:
+            env = _read_envelope(args.key)
+            scheme, system, rounds, params = env.scheme, env.system, env.n, env.params
+        else:
+            scheme, system, rounds, params = args.scheme, args.system, args.rounds, _seeded_params(args)
+        encrypt_fn = _encrypt_fn(scheme, params, rounds, _sbox_for(scheme, args), system)
         diff = analysis.differential_test(encrypt_fn, img, args.trials, args.seed or 0)
         text += (
-            f"differential.scheme={args.scheme}\n"
+            f"differential.scheme={scheme}\n"
             f"differential.trials={diff.trials}\n"
             f"differential.seed={diff.seed}\n"
             f"differential.mean_npcr={diff.mean_npcr:.6f}\n"
@@ -154,18 +137,16 @@ def cmd_compare(args) -> int:
     img = read_pgm(args.input)
     seed = args.seed or 0
     params = _seeded_params(args)
-    rounds = args.rounds if args.rounds is not None else cipher.DEFAULT_GH401_ROUNDS
-    sbox = _resolve_sbox(args.sbox)
+    header = "# informational comparison; third-party schemes are not implemented\n"
     sections = []
     for scheme in (SCHEME_IEAHF, SCHEME_GH401):
-        if scheme == SCHEME_IEAHF:
-            encrypt_fn = lambda im: cipher.encrypt_ieahf(im, params, rounds, system=args.system)[0]
-        else:
-            encrypt_fn = lambda im: cipher.encrypt_gh401(im, params, rounds, sbox, system=args.system)[0]
-        cipher_img = encrypt_fn(img)
+        sbox = _sbox_for(scheme, args)
+        cipher_img, key = cipher.encrypt(scheme, img, params, args.rounds, sbox, system=args.system)
         report = analysis.full_report(cipher_img, img, pairs=args.pairs, seed=seed)
         title = scheme.lower()
+        header += f"compare.{title}.rounds={key.rounds}\n"
         text = analysis.report_to_text(report, title=title)
+        encrypt_fn = _encrypt_fn(scheme, params, args.rounds, sbox, args.system)
         diff = analysis.differential_test(encrypt_fn, img, args.trials, seed)
         text += (
             f"{title}.differential.mean_npcr={diff.mean_npcr:.6f}\n"
@@ -173,12 +154,7 @@ def cmd_compare(args) -> int:
             f"{title}.differential.best_npcr={diff.best_npcr:.6f}\n"
         )
         sections.append(text)
-    header = (
-        "# informational comparison; third-party schemes are not implemented\n"
-        f"compare.rounds={rounds}\n"
-        f"compare.system={args.system}\n"
-        f"compare.trials={args.trials}\n"
-    )
+    header += f"compare.system={args.system}\ncompare.trials={args.trials}\n"
     _emit(header + "".join(sections), args.report)
     return EXIT_OK
 
@@ -203,27 +179,16 @@ def cmd_bench(args) -> int:
     else:
         img = np.random.default_rng(args.seed or 0).integers(0, 256, size=(256, 256)).astype(np.uint8)
     params = chaos.default_params(args.system)
-    rounds = args.rounds if args.rounds is not None else cipher.DEFAULT_GH401_ROUNDS
+    sbox = _sbox_for(args.scheme, args)
     enc_times, dec_times = [], []
-    if args.scheme == SCHEME_IEAHF:
-        for _ in range(args.trials):
-            t0 = time.perf_counter()
-            cipher_img, side = cipher.encrypt_ieahf(img, params, max(rounds, 2), system=args.system)
-            t1 = time.perf_counter()
-            cipher.decrypt_ieahf(cipher_img, side)
-            t2 = time.perf_counter()
-            enc_times.append(t1 - t0)
-            dec_times.append(t2 - t1)
-    else:
-        sbox = _resolve_sbox(args.sbox)
-        for _ in range(args.trials):
-            t0 = time.perf_counter()
-            cipher_img, env = cipher.encrypt_gh401(img, params, rounds, sbox, system=args.system)
-            t1 = time.perf_counter()
-            cipher.decrypt_gh401(cipher_img, env, sbox)
-            t2 = time.perf_counter()
-            enc_times.append(t1 - t0)
-            dec_times.append(t2 - t1)
+    for _ in range(args.trials):
+        t0 = time.perf_counter()
+        cipher_img, key = cipher.encrypt(args.scheme, img, params, args.rounds, sbox, system=args.system)
+        t1 = time.perf_counter()
+        cipher.decrypt(cipher_img, key, sbox)
+        t2 = time.perf_counter()
+        enc_times.append(t1 - t0)
+        dec_times.append(t2 - t1)
     text = (
         f"bench.scheme={args.scheme}\n"
         f"bench.image={img.shape[1]}x{img.shape[0]}\n"

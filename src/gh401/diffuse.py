@@ -9,16 +9,15 @@ mod 256 with A^-1 = [[34, 201], [201, 89]].  The image is tiled into
 non-overlapping 2x2 blocks, row-major from the top-left, and every block B
 is replaced by (B @ A) mod 256.
 
-The baseline form is linear mod 256, which annihilates the all-zero image;
-the GH401 form adds 1 to every element before and after the matrix
-multiply so the all-zero block maps to a nonzero block from round one.
+A bias b is added to every element before and after the matrix multiply:
+((B + b) @ A + b) mod 256.  With bias 0 the map is linear mod 256, which
+annihilates the all-zero image; with bias 1 the all-zero block maps to a
+nonzero block from round one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from gh401.permute import SCHEME_GH401, SCHEME_IEAHF
 
 DIFFUSION_MATRIX = np.array([[89, 55], [55, 34]], dtype=np.int64)
 DIFFUSION_MATRIX_INV = np.array([[34, 201], [201, 89]], dtype=np.int64)
@@ -52,27 +51,21 @@ def _from_blocks(blocks: np.ndarray, shape) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(h, w).astype(np.uint8)
 
 
-def diffuse_ieahf(img: np.ndarray) -> np.ndarray:
-    """Per 2x2 block: (B @ A) mod 256."""
+def diffuse(img: np.ndarray, bias: int) -> np.ndarray:
+    """Per 2x2 block: ((B + bias) @ A + bias) mod 256."""
     blocks = _as_blocks(img)
-    out = (blocks @ DIFFUSION_MATRIX) % 256
-    return _from_blocks(out, np.asarray(img).shape)
-
-
-def diffuse_gh401(img: np.ndarray) -> np.ndarray:
-    """Per 2x2 block: ((B + 1) @ A + 1) mod 256."""
-    blocks = _as_blocks(img)
-    out = ((blocks + 1) @ DIFFUSION_MATRIX + 1) % 256
-    return _from_blocks(out, np.asarray(img).shape)
-
-
-def inverse_diffuse(img: np.ndarray, scheme: str) -> np.ndarray:
-    """Exact inverse of the forward diffusion for either scheme."""
-    blocks = _as_blocks(img)
-    if scheme == SCHEME_IEAHF:
-        out = (blocks @ DIFFUSION_MATRIX_INV) % 256
-    elif scheme == SCHEME_GH401:
-        out = ((blocks - 1) @ DIFFUSION_MATRIX_INV - 1) % 256
+    if bias:
+        out = ((blocks + bias) @ DIFFUSION_MATRIX + bias) % 256
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        out = (blocks @ DIFFUSION_MATRIX) % 256
+    return _from_blocks(out, np.asarray(img).shape)
+
+
+def inverse_diffuse(img: np.ndarray, bias: int) -> np.ndarray:
+    """Exact inverse of :func:`diffuse` with the same bias."""
+    blocks = _as_blocks(img)
+    if bias:
+        out = ((blocks - bias) @ DIFFUSION_MATRIX_INV - bias) % 256
+    else:
+        out = (blocks @ DIFFUSION_MATRIX_INV) % 256
     return _from_blocks(out, np.asarray(img).shape)

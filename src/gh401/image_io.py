@@ -7,6 +7,7 @@ three-line header.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -51,15 +52,23 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` via a temp file and a rename; a failed write leaves no temp file."""
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write a 2-D uint8 array as binary PGM, atomically (temp + rename)."""
+    """Write a 2-D uint8 array as binary PGM, atomically."""
     img = np.asarray(img, dtype=np.uint8)
     if img.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
     height, width = img.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(img.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii") + img.tobytes())

@@ -1,18 +1,15 @@
 """Sort-based pixel permutation and its inverse.
 
-The baseline form simply rearranges the flattened pixel vector through the
-sorting-index vector S: R[i] = P[S[i]].  Because a rearrangement preserves
-the pixel multiset exactly, a uniform image passes through unchanged; the
-GH401 form adds the round number to every output byte (mod 256) to break
-that fixed point.
+The pixel vector is rearranged through the sorting-index vector S and a
+round offset is added to every output byte: R[i] = (P[S[i]] + offset)
+mod 256.  With offset 0 this is a plain rearrangement, which preserves
+the pixel multiset exactly, so a uniform image passes through unchanged;
+a nonzero offset breaks that fixed point.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-SCHEME_IEAHF = "IEAHF"
-SCHEME_GH401 = "GH401"
 
 
 def _check_lengths(p: np.ndarray, s: np.ndarray) -> None:
@@ -20,33 +17,24 @@ def _check_lengths(p: np.ndarray, s: np.ndarray) -> None:
         raise ValueError(f"pixel vector and permutation differ in length: {p.size} vs {s.size}")
 
 
-def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """R[i] = P[S[i]]."""
+def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
+    """R[i] = (P[S[i]] + offset) mod 256."""
     p = np.asarray(p, dtype=np.uint8)
     s = np.asarray(s)
     _check_lengths(p, s)
-    return p[s]
+    r = p[s]
+    if offset % 256:
+        r += np.uint8(offset % 256)
+    return r
 
 
-def permute_gh401(p: np.ndarray, s: np.ndarray, round_no: int) -> np.ndarray:
-    """R[i] = (P[S[i]] + round) mod 256, rounds numbered from 1."""
-    if round_no < 1:
-        raise ValueError("round number starts at 1")
-    p = np.asarray(p, dtype=np.uint8)
-    s = np.asarray(s)
-    _check_lengths(p, s)
-    return p[s] + np.uint8(round_no % 256)
-
-
-def invert_permute(r: np.ndarray, s: np.ndarray, round_no: int, scheme: str) -> np.ndarray:
-    """Exact left inverse of the forward permutation for either scheme."""
+def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
+    """Exact left inverse of :func:`permute` with the same offset."""
     r = np.asarray(r, dtype=np.uint8)
     s = np.asarray(s)
     _check_lengths(r, s)
-    if scheme == SCHEME_GH401:
-        r = r - np.uint8(round_no % 256)
-    elif scheme != SCHEME_IEAHF:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    if offset % 256:
+        r = r - np.uint8(offset % 256)
     p = np.empty_like(r)
     p[s] = r
     return p

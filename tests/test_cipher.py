@@ -103,9 +103,8 @@ def test_side_channel_file_bad_magic_and_size():
 
 def test_side_channel_file_rejects_non_bijection():
     perm = np.zeros(16, dtype=np.int64)
-    side = SideChannelFile(width=4, height=4, perms=[perm], checksums=[0])
     with pytest.raises(ValueError, match="bijection"):
-        side.validate()
+        SideChannelFile(width=4, height=4, perms=[perm], checksums=[0])
 
 
 # ---------------------------------------------------------------- GH401
@@ -242,6 +241,27 @@ def test_envelope_validation():
     with pytest.raises(ValueError, match="whitening"):
         KeyEnvelope(scheme="GH401", system="reftestmap", ic=ic, params=PARAMS,
                     n=4, whitening=bytes(8), sbox_name="aes")
+
+
+# ---------------------------------------------------- scheme dispatch
+
+@pytest.mark.parametrize("scheme, key_type, rounds", [
+    (cipher.SCHEME_IEAHF, SideChannelFile, 2),
+    (cipher.SCHEME_GH401, KeyEnvelope, 4),
+])
+def test_dispatch_roundtrip_with_default_rounds(scheme, key_type, rounds):
+    img = random_image(np.random.default_rng(26), 16, 16)
+    c, key = cipher.encrypt(scheme, img, PARAMS, sbox=AES)
+    assert isinstance(key, key_type)
+    assert key.rounds == cipher.DEFAULT_ROUNDS[scheme] == rounds
+    assert np.array_equal(cipher.decrypt(c, key, AES), img)
+
+
+def test_dispatch_rejects_unknown_scheme_and_key():
+    with pytest.raises(ValueError, match="scheme"):
+        cipher.encrypt("ROT13", black(8), PARAMS, 2)
+    with pytest.raises(TypeError, match="KeyEnvelope"):
+        cipher.decrypt(black(8), b"not a key")
 
 
 # ------------------------------------------------- key space / bandwidth

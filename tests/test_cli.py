@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from gh401 import cli
+from gh401 import cipher, cli
 from gh401.image_io import read_pgm, write_pgm
 
 
@@ -199,6 +199,83 @@ def test_cli_compare_schema(tmp_path, rng):
     assert "ieahf.differential.mean_npcr=" in text
     assert "gh401.differential.mean_npcr=" in text
     assert "third-party schemes are not implemented" in text
+    assert "compare.ieahf.rounds=2\ncompare.gh401.rounds=4\n" in text
+
+
+@pytest.fixture
+def ieahf_rounds(monkeypatch):
+    """The round count of every IEAHF encryption the CLI runs."""
+    seen = []
+    encrypt = cipher.encrypt_ieahf
+
+    def spy(img, params, n, **kwargs):
+        seen.append(n)
+        return encrypt(img, params, n, **kwargs)
+
+    monkeypatch.setattr(cipher, "encrypt_ieahf", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv, rounds", [
+    (["compare", "--pairs", "100"], 2),
+    (["compare", "--pairs", "100", "--rounds", "3"], 3),
+    (["bench", "--scheme", "IEAHF"], 2),
+    (["bench", "--scheme", "IEAHF", "--rounds", "1"], 1),
+], ids=["compare-default", "compare-3", "bench-default", "bench-1"])
+def test_cli_ieahf_runs_its_own_default_or_the_given_rounds(tmp_path, rng, ieahf_rounds,
+                                                            argv, rounds):
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    assert cli.main([argv[0], src, *argv[1:], "--trials", "2",
+                     "--report", str(tmp_path / "r.txt")]) == 0
+    assert ieahf_rounds and set(ieahf_rounds) == {rounds}
+
+
+def _differential_lines(tmp_path, argv):
+    report = tmp_path / "diff.txt"
+    assert cli.main([*argv, "--report", str(report)]) == 0
+    return [ln for ln in report.read_text().splitlines() if ln.startswith("differential.")]
+
+
+def test_cli_analyze_key_takes_scheme_system_and_rounds_from_envelope(tmp_path):
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    key = tmp_path / "c.key"
+    assert cli.main(["encrypt", src, "--scheme", "GH401", "--system", "hosny6d",
+                     "--rounds", "5", "--seed", "9", "--out", str(tmp_path / "c.pgm"),
+                     "--key", str(key)]) == 0
+    white = write_image(tmp_path / "w.pgm", np.full((8, 8), 255, dtype=np.uint8))
+    argv = ["analyze", white, "--differential", "--trials", "2", "--pairs", "10",
+            "--key", str(key)]
+    from_key = _differential_lines(tmp_path, argv)
+    explicit = _differential_lines(tmp_path, [*argv, "--system", "hosny6d", "--rounds", "5"])
+    assert from_key == explicit
+    assert "differential.scheme=GH401" in from_key
+
+
+def test_cli_ieahf_decrypt_checks_each_permutation_once(tmp_path, rng, monkeypatch):
+    # Every bijection check of a side-file permutation is one bincount.
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    enc, ss = str(tmp_path / "c.pgm"), str(tmp_path / "c.ss")
+    assert cli.main(["encrypt", src, "--scheme", "IEAHF", "--rounds", "3",
+                     "--out", enc, "--ss", ss]) == 0
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    assert cli.main(["decrypt", enc, "--ss", ss, "--out", str(tmp_path / "d.pgm")]) == 0
+    assert len(calls) == 3
+
+
+def test_cli_failed_write_leaves_no_temp_file(tmp_path, rng, capsys):
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    out = tmp_path / "out.pgm"
+    out.mkdir()
+    code = cli.main(["encrypt", src, "--scheme", "IEAHF", "--out", str(out),
+                     "--ss", str(tmp_path / "c.ss")])
+    assert code == cli.EXIT_IO
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pgm", "p.pgm"]
+    with pytest.raises(IsADirectoryError):
+        write_pgm(out, np.zeros((2, 2), dtype=np.uint8))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pgm", "p.pgm"]
 
 
 @pytest.mark.parametrize("scheme, flag, label", [("GH401", "--key", "key envelope"),

@@ -6,12 +6,10 @@ import pytest
 from gh401.diffuse import (
     DIFFUSION_MATRIX,
     DIFFUSION_MATRIX_INV,
-    diffuse_gh401,
-    diffuse_ieahf,
+    diffuse,
     fib_q_power,
     inverse_diffuse,
 )
-from gh401.permute import SCHEME_GH401, SCHEME_IEAHF
 
 
 def test_fib_q_power_small():
@@ -41,28 +39,28 @@ def test_matrix_inverse_mod_256():
 
 def test_ieahf_blocks():
     zero = np.zeros((2, 2), dtype=np.uint8)
-    assert diffuse_ieahf(zero).tolist() == [[0, 0], [0, 0]]
+    assert diffuse(zero, 0).tolist() == [[0, 0], [0, 0]]
     white = np.full((2, 2), 255, dtype=np.uint8)
-    assert diffuse_ieahf(white).tolist() == [[112, 167], [112, 167]]
+    assert diffuse(white, 0).tolist() == [[112, 167], [112, 167]]
     eye = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    assert diffuse_ieahf(eye).tolist() == [[89, 55], [55, 34]]
+    assert diffuse(eye, 0).tolist() == [[89, 55], [55, 34]]
 
 
 def test_gh401_blocks():
     zero = np.zeros((2, 2), dtype=np.uint8)
-    assert diffuse_gh401(zero).tolist() == [[145, 90], [145, 90]]
+    assert diffuse(zero, 1).tolist() == [[145, 90], [145, 90]]
     white = np.full((2, 2), 255, dtype=np.uint8)
-    assert diffuse_gh401(white).tolist() == [[1, 1], [1, 1]]
+    assert diffuse(white, 1).tolist() == [[1, 1], [1, 1]]
 
 
 def test_inverse_of_white_cipher_block():
     block = np.array([[112, 167], [112, 167]], dtype=np.uint8)
-    assert inverse_diffuse(block, SCHEME_IEAHF).tolist() == [[255, 255], [255, 255]]
+    assert inverse_diffuse(block, 0).tolist() == [[255, 255], [255, 255]]
 
 
 def test_gh401_zero_image_becomes_nonzero_pattern():
     img = np.zeros((16, 16), dtype=np.uint8)
-    out = diffuse_gh401(img)
+    out = diffuse(img, 1)
     assert (out != 0).all()
     # every block is identical, a two-column constant pattern
     assert np.array_equal(out[:, 0::2], np.full((16, 8), 145))
@@ -71,11 +69,11 @@ def test_gh401_zero_image_becomes_nonzero_pattern():
 
 def test_odd_dimensions_rejected():
     with pytest.raises(ValueError, match="even"):
-        diffuse_ieahf(np.zeros((3, 4), dtype=np.uint8))
+        diffuse(np.zeros((3, 4), dtype=np.uint8), 0)
     with pytest.raises(ValueError, match="even"):
-        diffuse_gh401(np.zeros((4, 5), dtype=np.uint8))
+        diffuse(np.zeros((4, 5), dtype=np.uint8), 1)
     with pytest.raises(ValueError, match="even"):
-        inverse_diffuse(np.zeros((5, 5), dtype=np.uint8), SCHEME_IEAHF)
+        inverse_diffuse(np.zeros((5, 5), dtype=np.uint8), 0)
 
 
 def test_roundtrip_property_both_schemes():
@@ -84,16 +82,16 @@ def test_roundtrip_property_both_schemes():
         h = 2 * int(rng.integers(1, 17))
         w = 2 * int(rng.integers(1, 17))
         img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
-        assert np.array_equal(inverse_diffuse(diffuse_ieahf(img), SCHEME_IEAHF), img)
-        assert np.array_equal(inverse_diffuse(diffuse_gh401(img), SCHEME_GH401), img)
-        assert np.array_equal(diffuse_ieahf(inverse_diffuse(img, SCHEME_IEAHF)), img)
-        assert np.array_equal(diffuse_gh401(inverse_diffuse(img, SCHEME_GH401)), img)
+        assert np.array_equal(inverse_diffuse(diffuse(img, 0), 0), img)
+        assert np.array_equal(inverse_diffuse(diffuse(img, 1), 1), img)
+        assert np.array_equal(diffuse(inverse_diffuse(img, 0), 0), img)
+        assert np.array_equal(diffuse(inverse_diffuse(img, 1), 1), img)
 
 
 def test_ieahf_is_linear_mod_256():
     rng = np.random.default_rng(9)
     x = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
     y = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-    lhs = diffuse_ieahf(((x.astype(np.int64) + y) % 256).astype(np.uint8))
-    rhs = (diffuse_ieahf(x).astype(np.int64) + diffuse_ieahf(y)) % 256
+    lhs = diffuse(((x.astype(np.int64) + y) % 256).astype(np.uint8), 0)
+    rhs = (diffuse(x, 0).astype(np.int64) + diffuse(y, 0)) % 256
     assert np.array_equal(lhs, rhs.astype(np.uint8))

@@ -3,38 +3,33 @@
 import numpy as np
 import pytest
 
-from gh401.permute import (
-    SCHEME_GH401,
-    SCHEME_IEAHF,
-    invert_permute,
-    permute_gh401,
-    permute_ieahf,
-)
+from gh401.cipher import permute_gh401
+from gh401.permute import invert_permute, permute
 
 
 def test_ieahf_definition():
     p = np.array([10, 20, 30], dtype=np.uint8)
     s = np.array([2, 0, 1])
-    assert permute_ieahf(p, s).tolist() == [30, 10, 20]
+    assert permute(p, s, 0).tolist() == [30, 10, 20]
 
 
 def test_ieahf_identity_permutation():
     p = np.arange(16, dtype=np.uint8)
-    assert permute_ieahf(p, np.arange(16)).tolist() == p.tolist()
+    assert permute(p, np.arange(16), 0).tolist() == p.tolist()
 
 
 def test_ieahf_uniform_input_is_fixed():
     p = np.full(64, 255, dtype=np.uint8)
     s = np.random.default_rng(0).permutation(64)
-    assert permute_ieahf(p, s).tolist() == p.tolist()
+    assert permute(p, s, 0).tolist() == p.tolist()
 
 
 def test_gh401_round_offset():
     s = np.random.default_rng(1).permutation(8)
-    assert permute_gh401(np.zeros(8, dtype=np.uint8), s, 1).tolist() == [1] * 8
-    assert permute_gh401(np.full(8, 255, dtype=np.uint8), s, 1).tolist() == [0] * 8
+    assert permute(np.zeros(8, dtype=np.uint8), s, 1).tolist() == [1] * 8
+    assert permute(np.full(8, 255, dtype=np.uint8), s, 1).tolist() == [0] * 8
     p = np.array([10, 20, 30], dtype=np.uint8)
-    assert permute_gh401(p, np.array([2, 0, 1]), 2).tolist() == [32, 12, 22]
+    assert permute(p, np.array([2, 0, 1]), 2).tolist() == [32, 12, 22]
 
 
 def test_gh401_rejects_round_zero():
@@ -44,21 +39,16 @@ def test_gh401_rejects_round_zero():
 
 def test_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        permute_ieahf(np.zeros(4, dtype=np.uint8), np.arange(5))
+        permute(np.zeros(4, dtype=np.uint8), np.arange(5), 0)
     with pytest.raises(ValueError, match="length"):
-        invert_permute(np.zeros(4, dtype=np.uint8), np.arange(5), 1, SCHEME_GH401)
-
-
-def test_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme"):
-        invert_permute(np.zeros(4, dtype=np.uint8), np.arange(4), 1, "ROT13")
+        invert_permute(np.zeros(4, dtype=np.uint8), np.arange(5), 1)
 
 
 def test_ieahf_preserves_histogram():
     rng = np.random.default_rng(5)
     p = rng.integers(0, 256, 500).astype(np.uint8)
     s = rng.permutation(500)
-    assert np.array_equal(np.bincount(permute_ieahf(p, s), minlength=256),
+    assert np.array_equal(np.bincount(permute(p, s, 0), minlength=256),
                           np.bincount(p, minlength=256))
 
 
@@ -66,9 +56,9 @@ def test_gh401_shifts_histogram_circularly():
     rng = np.random.default_rng(6)
     p = rng.integers(0, 256, 2048).astype(np.uint8)
     s = rng.permutation(2048)
-    for k in (1, 3, 200):
+    for k in (1, 3, 200, 256):
         hist_in = np.bincount(p, minlength=256)
-        hist_out = np.bincount(permute_gh401(p, s, k), minlength=256)
+        hist_out = np.bincount(permute(p, s, k), minlength=256)
         assert np.array_equal(hist_out, np.roll(hist_in, k % 256))
 
 
@@ -79,7 +69,5 @@ def test_roundtrip_property():
         p = rng.integers(0, 256, n).astype(np.uint8)
         s = rng.permutation(n)
         k = int(rng.integers(1, 20))
-        assert np.array_equal(
-            invert_permute(permute_ieahf(p, s), s, 0, SCHEME_IEAHF), p)
-        assert np.array_equal(
-            invert_permute(permute_gh401(p, s, k), s, k, SCHEME_GH401), p)
+        assert np.array_equal(invert_permute(permute(p, s, 0), s, 0), p)
+        assert np.array_equal(invert_permute(permute(p, s, k), s, k), p)
