@@ -42,7 +42,7 @@ rng = np.random.default_rng(1)
 img = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
 c, env = cipher.encrypt_gh401(img, params, 4, sbox)
 bumped = cipher.KeyEnvelope(
-    scheme=env.scheme, system=env.system,
+    system=env.system,
     ic=chaos.InitialConditions(env.ic.x1 + 1e-10, env.ic.x2, env.ic.x3,
                                env.ic.x4, env.ic.x5, env.ic.x6),
     params=env.params, n=env.n, whitening=env.whitening, sbox_name=env.sbox_name)

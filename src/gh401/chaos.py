@@ -133,9 +133,11 @@ class DynamicalSystem:
     ``n_transient + n_keep`` times to ``state`` (a 6-tuple of floats).
     It returns the last ``n_keep`` states as an ``(n_keep, 6)`` float64
     array, row i holding the state after update ``n_transient + i + 1``.
+    ``DEFAULT_PARAMS`` is its documented default parameter set, if any.
     """
 
     name: str = ""
+    DEFAULT_PARAMS: SystemParams | None = None
 
     def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
         raise NotImplementedError
@@ -155,6 +157,8 @@ class ReferenceTestMap(DynamicalSystem):
     """
 
     name = "reftestmap"
+
+    DEFAULT_PARAMS = SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
 
     RHO = tuple(3.99 + 0.001 * j for j in (1, 2, 3, 4, 5, 6))
 
@@ -282,18 +286,12 @@ def list_systems():
 register_system(ReferenceTestMap())
 register_system(Hosny6D())
 
-_DEFAULT_PARAMS = {
-    "hosny6d": Hosny6D.DEFAULT_PARAMS,
-    "reftestmap": SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99),
-}
-
-
 def default_params(system_name: str) -> SystemParams:
     """Documented default parameter set for a registered system."""
-    try:
-        return _DEFAULT_PARAMS[system_name]
-    except KeyError:
-        raise ValueError(f"no default parameters for system {system_name!r}") from None
+    params = get_system(system_name).DEFAULT_PARAMS
+    if params is None:
+        raise ValueError(f"no default parameters for system {system_name!r}")
+    return params
 
 
 def draw_params(system_name: str, seed: int) -> SystemParams:

@@ -13,7 +13,10 @@ GH401 (hardened)
     consumes a disjoint slice of one long orbit.  Per round k: XOR the
     128-bit whitening key cyclically into the pixel vector, permute with
     the round offset k, apply the incremented Q-matrix diffusion, then
-    the S-box.  Decryption needs only the compact key envelope.
+    the S-box.  Decryption needs only the compact key envelope, which
+    names every setting of one GH401 encryption: system, seeds,
+    parameters, rounds (3 to ``MAX_GH401_ROUNDS``), whitening key and
+    S-box.  IEAHF has no envelope; its key material is the side file.
 
 IEAHF permutes with offset 0 and diffuses with bias 0; GH401 uses the
 round number as offset and bias 1.  :func:`encrypt` and :func:`decrypt`
@@ -29,6 +32,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,12 +50,14 @@ from gh401.chaos import (
 )
 from gh401.diffuse import diffuse, inverse_diffuse
 from gh401.permute import invert_permute, permute
-from gh401.sbox import SBox8
+from gh401.sbox import SBox8, substitute
 
 SCHEME_IEAHF = "IEAHF"
 SCHEME_GH401 = "GH401"
 DEFAULT_ROUNDS = {SCHEME_IEAHF: 2, SCHEME_GH401: 4}
 DEFAULT_SYSTEM = "reftestmap"
+# The last round whose permutation offset k mod 256 is its own round number.
+MAX_GH401_ROUNDS = 255
 
 SS_MAGIC = b"SSX1"
 
@@ -80,10 +86,9 @@ def _validate_image(img) -> np.ndarray:
     return img
 
 
-def _resolve_system(system):
-    if isinstance(system, str):
-        return get_system(system)
-    return system
+def _check_gh401_rounds(n: int) -> None:
+    if not 3 <= n <= MAX_GH401_ROUNDS:
+        raise ValueError(f"GH401 uses at least 3 rounds and at most {MAX_GH401_ROUNDS}, got {n}")
 
 
 def _crc32(img: np.ndarray) -> int:
@@ -157,44 +162,43 @@ class SideChannelFile:
 
 @dataclass
 class KeyEnvelope:
-    """The full transmittable secret for one encryption.
+    """The full transmittable secret for one GH401 encryption.
 
     Serialized as UTF-8 text, one ``field=value`` per line, reals printed
-    with 17 significant digits, field order fixed: scheme, system,
-    x1..x6, a..e, r, n, then (GH401 only) whitening as 32 hex characters
-    and the S-box name.  Parsing and re-serializing is byte-exact.
+    with 17 significant digits, field order fixed: scheme (always GH401),
+    system, x1..x6, a..e, r, n, whitening as 32 hex characters, and the
+    S-box name.  Parsing and re-serializing is byte-exact.
     """
 
-    scheme: str
+    scheme: ClassVar[str] = SCHEME_GH401
+
     system: str
     ic: InitialConditions
     params: SystemParams
     n: int
-    whitening: bytes | None = None
-    sbox_name: str | None = None
+    whitening: bytes
+    sbox_name: str
 
     def __post_init__(self):
-        if self.scheme not in (SCHEME_IEAHF, SCHEME_GH401):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == SCHEME_IEAHF:
-            if self.n < 2:
-                raise ValueError("IEAHF envelopes need at least 2 rounds")
-            if self.whitening is not None or self.sbox_name is not None:
-                raise ValueError("whitening key and S-box are GH401-only fields")
-        else:
-            if self.n < 3:
-                raise ValueError("GH401 envelopes need at least 3 rounds")
-            if self.whitening is None or len(self.whitening) != 16:
-                raise ValueError("GH401 envelopes carry a 16-byte whitening key")
-            if not self.sbox_name:
-                raise ValueError("GH401 envelopes carry an S-box name")
+        _check_gh401_rounds(self.n)
+        if len(self.whitening) != 16:
+            raise ValueError("GH401 envelopes carry a 16-byte whitening key")
+        if not self.sbox_name:
+            raise ValueError("GH401 envelopes carry an S-box name")
 
     @property
     def rounds(self) -> int:
         return self.n
 
+    def check_sbox(self, sbox: SBox8) -> None:
+        """Raise :class:`EnvelopeMismatchError` unless ``sbox`` is the one named here."""
+        if sbox.name != self.sbox_name:
+            raise EnvelopeMismatchError(
+                f"envelope was made with S-box {self.sbox_name!r}, got {sbox.name!r}")
+
     _IC_FIELDS = ("x1", "x2", "x3", "x4", "x5", "x6")
     _PARAM_FIELDS = ("a", "b", "c", "d", "e", "r")
+    _FIELDS = ("scheme", "system", *_IC_FIELDS, *_PARAM_FIELDS, "n", "whitening", "sbox")
 
     def to_text(self) -> str:
         lines = [f"scheme={self.scheme}", f"system={self.system}"]
@@ -203,9 +207,8 @@ class KeyEnvelope:
         for name, value in zip(self._PARAM_FIELDS, self.params.as_tuple()):
             lines.append(f"{name}={value:.17g}")
         lines.append(f"n={self.n}")
-        if self.scheme == SCHEME_GH401:
-            lines.append(f"whitening={self.whitening.hex()}")
-            lines.append(f"sbox={self.sbox_name}")
+        lines.append(f"whitening={self.whitening.hex()}")
+        lines.append(f"sbox={self.sbox_name}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -219,18 +222,15 @@ class KeyEnvelope:
             key, _, value = line.partition("=")
             pairs.append((key, value))
         fields = dict(pairs)
-        expected = ["scheme", "system", *cls._IC_FIELDS, *cls._PARAM_FIELDS, "n"]
-        scheme = fields.get("scheme")
-        if scheme == SCHEME_GH401:
-            expected += ["whitening", "sbox"]
-        if [k for k, _ in pairs] != expected:
+        if fields.get("scheme") != cls.scheme:
+            raise ValueError(f"envelope is for scheme {fields.get('scheme')!r}; "
+                             f"key envelopes are {cls.scheme}-only")
+        if tuple(k for k, _ in pairs) != cls._FIELDS:
             raise ValueError("envelope fields missing, repeated, or out of order")
         ic = InitialConditions(*(float(fields[k]) for k in cls._IC_FIELDS))
         params = SystemParams(*(float(fields[k]) for k in cls._PARAM_FIELDS))
-        whitening = bytes.fromhex(fields["whitening"]) if scheme == SCHEME_GH401 else None
-        sbox_name = fields.get("sbox")
-        return cls(scheme=scheme, system=fields["system"], ic=ic, params=params,
-                   n=int(fields["n"]), whitening=whitening, sbox_name=sbox_name)
+        return cls(system=fields["system"], ic=ic, params=params, n=int(fields["n"]),
+                   whitening=bytes.fromhex(fields["whitening"]), sbox_name=fields["sbox"])
 
 
 def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -260,7 +260,7 @@ def _round_permutation(orbit_rows: np.ndarray, mn: int) -> np.ndarray:
 
 
 def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
-                  system=DEFAULT_SYSTEM):
+                  system: str = DEFAULT_SYSTEM):
     """Baseline pipeline; returns (ciphertext, side-channel file).
 
     Every round re-derives the orbit seeds from the round's input image,
@@ -271,7 +271,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     img = _validate_image(img)
     if n < 1:
         raise ValueError("round count must be at least 1")
-    sys_ = _resolve_system(system)
+    sys_ = get_system(system)
     h, w = img.shape
     mn = h * w
     rows = rows_for_sequence(mn)
@@ -314,12 +314,11 @@ def _whitening_mask(whitening: bytes, mn: int) -> np.ndarray:
 
 
 def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
-                  system=DEFAULT_SYSTEM):
+                  system: str = DEFAULT_SYSTEM):
     """Hardened pipeline; returns (ciphertext, key envelope)."""
     img = _validate_image(img)
-    if n < 3:
-        raise ValueError("GH401 uses at least 3 rounds")
-    sys_ = _resolve_system(system)
+    _check_gh401_rounds(n)
+    sys_ = get_system(system)
     h, w = img.shape
     mn = h * w
     rows = rows_for_sequence(mn)
@@ -333,21 +332,17 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
         cur = cur ^ mask
         cur = permute_gh401(cur, s, k)
         cur = diffuse_gh401(cur.reshape(h, w)).reshape(-1)
-        cur = sbox.table[cur]
-    env = KeyEnvelope(scheme=SCHEME_GH401, system=sys_.name, ic=ic, params=params,
-                      n=n, whitening=whitening, sbox_name=sbox.name)
+        cur = substitute(cur, sbox)
+    env = KeyEnvelope(system=sys_.name, ic=ic, params=params, n=n,
+                      whitening=whitening, sbox_name=sbox.name)
     return cur.reshape(h, w), env
 
 
 def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarray:
     """Regenerate the orbit from the envelope and invert the rounds."""
     cipher = _validate_image(cipher)
-    if env.scheme != SCHEME_GH401:
-        raise EnvelopeMismatchError(f"envelope is for scheme {env.scheme}, not GH401")
-    if sbox.name != env.sbox_name:
-        raise EnvelopeMismatchError(
-            f"envelope was made with S-box {env.sbox_name!r}, got {sbox.name!r}")
-    sys_ = _resolve_system(env.system)
+    env.check_sbox(sbox)
+    sys_ = get_system(env.system)
     h, w = cipher.shape
     mn = h * w
     rows = rows_for_sequence(mn)
@@ -356,7 +351,7 @@ def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarr
     cur = cipher.reshape(-1)
     for k in range(env.n, 0, -1):
         s = _round_permutation(orbit[(k - 1) * rows:k * rows], mn)
-        cur = sbox.inverse[cur]
+        cur = substitute(cur, sbox, inverse=True)
         cur = inverse_diffuse(cur.reshape(h, w), 1).reshape(-1)
         cur = invert_permute(cur, s, k)
         cur = cur ^ mask
@@ -409,8 +404,7 @@ def _nominal_envelope_bytes() -> int:
     # image, the hosny6d default parameter set, default rounds, bundled
     # strong S-box.
     ic = derive_initial_conditions(np.zeros((256, 256), dtype=np.uint8))
-    env = KeyEnvelope(scheme=SCHEME_GH401, system="hosny6d", ic=ic,
-                      params=Hosny6D.DEFAULT_PARAMS,
+    env = KeyEnvelope(system="hosny6d", ic=ic, params=Hosny6D.DEFAULT_PARAMS,
                       n=DEFAULT_ROUNDS[SCHEME_GH401], whitening=bytes(16), sbox_name="aes")
     return len(env.to_text().encode("utf-8"))
 

@@ -32,6 +32,7 @@ EXIT_IO = 3
 EXIT_MISMATCH = 4
 
 _BUNDLED_SBOXES = ("aes", "identity")
+_SBOX_HELP = "bundled S-box name (aes, identity) or a .txt/.bin table file"
 
 
 def _emit(text: str, report_path) -> None:
@@ -113,10 +114,13 @@ def cmd_analyze(args) -> int:
     if args.differential:
         if args.key:
             env = _read_envelope(args.key)
+            sbox = _resolve_sbox(args.sbox)
+            env.check_sbox(sbox)
             scheme, system, rounds, params = env.scheme, env.system, env.n, env.params
         else:
             scheme, system, rounds, params = args.scheme, args.system, args.rounds, _seeded_params(args)
-        encrypt_fn = _encrypt_fn(scheme, params, rounds, _sbox_for(scheme, args), system)
+            sbox = _sbox_for(scheme, args)
+        encrypt_fn = _encrypt_fn(scheme, params, rounds, sbox, system)
         diff = analysis.differential_test(encrypt_fn, img, args.trials, args.seed or 0)
         text += (
             f"differential.scheme={scheme}\n"
@@ -205,22 +209,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, *, scheme=True, sbox=True, rounds=True, seed=True):
+def _add_common(parser, *, scheme=True):
     if scheme:
         parser.add_argument("--scheme", choices=(SCHEME_IEAHF, SCHEME_GH401),
                             default=SCHEME_GH401, help="cipher scheme (default GH401)")
     parser.add_argument("--system", choices=tuple(chaos.list_systems()),
                         default=cipher.DEFAULT_SYSTEM,
                         help="dynamical system id (default %(default)s)")
-    if rounds:
-        parser.add_argument("--rounds", type=int, default=None,
-                            help="round count (defaults: IEAHF 2, GH401 4)")
-    if sbox:
-        parser.add_argument("--sbox", default="aes",
-                            help="bundled S-box name (aes, identity) or a .txt/.bin table file")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None,
-                            help="64-bit seed; for encrypt it draws the key parameters")
+    parser.add_argument("--rounds", type=int, default=None,
+                        help="round count (defaults: IEAHF 2, GH401 4)")
+    parser.add_argument("--sbox", default="aes", help=_SBOX_HELP)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="64-bit seed; for encrypt it draws the key parameters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decrypt", help="decrypt a PGM image")
     p.add_argument("input")
-    _add_common(p, scheme=False, rounds=False, seed=False)
+    p.add_argument("--sbox", default="aes", help=_SBOX_HELP + "; must be the envelope's")
     p.add_argument("--out", help="plaintext PGM path")
     p.add_argument("--key", help="key envelope path (GH401)")
     p.add_argument("--ss", help="side-channel file path (IEAHF)")
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the single-pixel differential harness (encrypts internally)")
     p.add_argument("--trials", type=int, default=100,
                    help="differential trials (default %(default)s)")
-    p.add_argument("--key", help="key envelope supplying parameters for --differential")
+    p.add_argument("--key", help="GH401 key envelope for --differential; it sets the scheme, "
+                   "system, rounds and parameters, and --sbox must be the one it names")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
@@ -269,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sbox-eval", help="bijectivity and transparency order of an S-box")
-    p.add_argument("--sbox", required=True,
-                   help="bundled S-box name (aes, identity) or a .txt/.bin table file")
+    p.add_argument("--sbox", required=True, help=_SBOX_HELP)
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_sbox_eval)
 

@@ -28,6 +28,12 @@ def random_image(rng, h, w):
     return rng.integers(0, 256, size=(h, w)).astype(np.uint8)
 
 
+def _envelope(n, whitening=bytes(16), sbox_name="aes"):
+    return KeyEnvelope(system="reftestmap",
+                       ic=chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
+                       params=PARAMS, n=n, whitening=whitening, sbox_name=sbox_name)
+
+
 # ---------------------------------------------------------------- IEAHF
 
 def test_ieahf_black_fixed_point():
@@ -161,7 +167,7 @@ def test_gh401_key_sensitivity():
     img = random_image(rng, 64, 64)
     c, env = cipher.encrypt_gh401(img, PARAMS, 4, AES)
     bumped = KeyEnvelope(
-        scheme=env.scheme, system=env.system,
+        system=env.system,
         ic=chaos.InitialConditions(env.ic.x1 + 1e-10, env.ic.x2, env.ic.x3,
                                    env.ic.x4, env.ic.x5, env.ic.x6),
         params=env.params, n=env.n, whitening=env.whitening, sbox_name=env.sbox_name)
@@ -178,16 +184,27 @@ def test_gh401_wrong_sbox_name():
 
 
 def test_gh401_scheme_mismatch():
-    env = KeyEnvelope(scheme="IEAHF", system="reftestmap",
-                      ic=chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-                      params=PARAMS, n=2)
-    with pytest.raises(EnvelopeMismatchError, match="scheme"):
-        cipher.decrypt_gh401(black(8), env, AES)
+    # Key envelopes are GH401-only: neither another scheme's name nor the
+    # shorter layout without whitening and S-box lines parses.
+    lines = _envelope(4).to_text().replace("scheme=GH401", "scheme=IEAHF").splitlines()
+    for text in ("\n".join(lines), "\n".join(lines[:-2])):
+        with pytest.raises(ValueError, match="scheme 'IEAHF'"):
+            KeyEnvelope.from_text(text)
 
 
 def test_gh401_round_minimum():
     with pytest.raises(ValueError, match="3 rounds"):
         cipher.encrypt_gh401(black(8), PARAMS, 2, AES)
+
+
+def test_gh401_round_maximum(monkeypatch):
+    img = random_image(np.random.default_rng(27), 8, 8)
+    c, env = cipher.encrypt_gh401(img, PARAMS, cipher.MAX_GH401_ROUNDS, AES)
+    assert np.array_equal(cipher.decrypt_gh401(c, env, AES), img)
+    # One round more is refused before any orbit is generated.
+    monkeypatch.setattr(cipher, "generate_orbit", None)
+    with pytest.raises(ValueError, match="at most 255"):
+        cipher.encrypt_gh401(img, PARAMS, cipher.MAX_GH401_ROUNDS + 1, AES)
 
 
 def test_envelope_text_roundtrip_bit_exact():
@@ -221,26 +238,20 @@ def test_envelope_preserves_decryption(tmp_path):
 
 
 def test_envelope_field_order_enforced():
-    env_text = KeyEnvelope(
-        scheme="GH401", system="reftestmap",
-        ic=chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-        params=PARAMS, n=4, whitening=bytes(16), sbox_name="aes").to_text()
-    lines = env_text.splitlines()
+    lines = _envelope(4).to_text().splitlines()
     lines[0], lines[1] = lines[1], lines[0]
     with pytest.raises(ValueError, match="order"):
         KeyEnvelope.from_text("\n".join(lines))
 
 
 def test_envelope_validation():
-    ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    with pytest.raises(ValueError, match="2 rounds"):
-        KeyEnvelope(scheme="IEAHF", system="reftestmap", ic=ic, params=PARAMS, n=1)
-    with pytest.raises(ValueError, match="GH401-only"):
-        KeyEnvelope(scheme="IEAHF", system="reftestmap", ic=ic, params=PARAMS,
-                    n=2, whitening=bytes(16))
+    for n in (2, cipher.MAX_GH401_ROUNDS + 1):
+        with pytest.raises(ValueError, match="at least 3 rounds and at most 255"):
+            _envelope(n)
     with pytest.raises(ValueError, match="whitening"):
-        KeyEnvelope(scheme="GH401", system="reftestmap", ic=ic, params=PARAMS,
-                    n=4, whitening=bytes(8), sbox_name="aes")
+        _envelope(4, whitening=bytes(8))
+    with pytest.raises(ValueError, match="S-box name"):
+        _envelope(4, sbox_name="")
 
 
 # ---------------------------------------------------- scheme dispatch

@@ -324,6 +324,51 @@ def test_cli_nan_seed_envelope_is_validation_error(tmp_path, capsys, system):
     assert "x1 is not finite" in capsys.readouterr().err
 
 
+def test_cli_decrypt_takes_no_system_flag(tmp_path):
+    # The envelope or side file names the system; decrypt has no --system.
+    enc, key = _gh401_envelope(tmp_path, "reftestmap")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decrypt", str(enc), "--key", str(key), "--system", "hosny6d",
+                  "--out", str(tmp_path / "d.pgm")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+
+
+def test_cli_envelope_rounds_are_capped(tmp_path, capsys):
+    enc, key = _gh401_envelope(tmp_path, "reftestmap")
+    _set_field(key, "n", "256")
+    capsys.readouterr()
+    code = cli.main(["decrypt", str(enc), "--key", str(key), "--out", str(tmp_path / "d.pgm")])
+    assert code == cli.EXIT_VALIDATION
+    assert "at most 255" in capsys.readouterr().err
+
+
+def _reads_envelope(tmp_path, command, key, *flags):
+    """A decrypt, or an analyze --differential, of an 8x8 image under envelope ``key``."""
+    src = write_image(tmp_path / "w.pgm", np.full((8, 8), 255, dtype=np.uint8))
+    extra = ["--differential", "--trials", "2", "--pairs", "10"] if command == "analyze" else []
+    return cli.main([command, src, *extra, "--key", str(key), *flags,
+                     "--out" if command == "decrypt" else "--report", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["decrypt", "analyze"])
+def test_cli_envelope_sbox_must_match(tmp_path, capsys, command):
+    _, key = _gh401_envelope(tmp_path, "reftestmap")
+    capsys.readouterr()
+    assert _reads_envelope(tmp_path, command, key, "--sbox", "identity") == cli.EXIT_MISMATCH
+    assert "S-box 'aes', got 'identity'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decrypt", "analyze"])
+def test_cli_ieahf_envelope_is_validation_error(tmp_path, capsys, command):
+    # The IEAHF envelope layout: no whitening or S-box line.
+    _, key = _gh401_envelope(tmp_path, "reftestmap")
+    lines = key.read_text().replace("scheme=GH401", "scheme=IEAHF").splitlines()
+    key.write_text("\n".join(lines[:-2]) + "\n")
+    capsys.readouterr()
+    assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
+    assert "scheme 'IEAHF'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("blob, message", [
     (b"SSX1" + struct.pack("<III", 1, 2, 2) + struct.pack("<4I", 1, 2, 3, 4) + bytes(4),
      "indices outside [0, 4)"),

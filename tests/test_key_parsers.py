@@ -1,0 +1,111 @@
+"""Property tests for the two key parsers: GH401 envelope text and SSX1 side files.
+
+Both read key material from outside the program, so any input either
+parses or raises ``ValueError`` (the CLI's exit 2), and serialize ->
+parse -> serialize is byte-exact.
+"""
+
+import struct
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from gh401.chaos import InitialConditions, SystemParams
+from gh401.cipher import MAX_GH401_ROUNDS, KeyEnvelope, SideChannelFile
+
+SETTINGS = settings(database=None, max_examples=200, deadline=None)
+# With no example database Hypothesis still caches source constants, at
+# collection, under ./.hypothesis; keep that cache in a directory removed at exit.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# An envelope value is one line: no control characters or line separators.
+names = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1)
+envelopes = st.builds(
+    KeyEnvelope,
+    system=names,
+    ic=st.builds(InitialConditions, finite, finite, finite, finite, finite, finite),
+    params=st.builds(SystemParams, finite, finite, finite, finite, finite, finite),
+    n=st.integers(3, MAX_GH401_ROUNDS),
+    whitening=st.binary(min_size=16, max_size=16),
+    sbox_name=names,
+)
+u32 = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def edited_envelope_texts(draw):
+    """A valid envelope with one field's value replaced, then raw slice edits."""
+    lines = draw(envelopes).to_text().splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    key = lines[k].partition("=")[0]
+    value = draw(st.text() | u32.map(str) | st.integers().map(str) | st.floats().map(repr))
+    lines[k] = f"{key}={value}\n"
+    text = "".join(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(max_size=8)) + text[j:]
+    return text
+
+
+@st.composite
+def side_channel_files(draw):
+    width, height, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    perms = [np.array(draw(st.permutations(range(width * height))), dtype=np.int64)
+             for _ in range(rounds)]
+    checksums = [draw(st.integers(0, 2**32 - 1)) for _ in range(rounds)]
+    return SideChannelFile(width=width, height=height, perms=perms, checksums=checksums)
+
+
+@st.composite
+def ssx1_blobs(draw):
+    """A valid SSX1 file with some 32-bit words overwritten, cut short or extended."""
+    data = bytearray(draw(side_channel_files()).to_bytes())
+    for _ in range(draw(st.integers(0, 3))):
+        # Half the edits hit the header: magic, rounds, width, height.
+        word = draw(st.integers(0, 3) | st.integers(0, len(data) // 4 - 1))
+        data[4 * word:4 * word + 4] = struct.pack("<I", draw(st.integers(0, 40) | u32))
+    if draw(st.integers(0, 3)) == 3:
+        data[draw(st.integers(0, len(data))):] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+@SETTINGS
+@given(envelopes)
+def test_envelope_serialize_parse_serialize_is_byte_exact(env):
+    text = env.to_text()
+    parsed = KeyEnvelope.from_text(text)
+    assert parsed == env
+    assert parsed.to_text() == text
+
+
+@SETTINGS
+@given(edited_envelope_texts())
+def test_envelope_parser_raises_only_value_error(text):
+    try:
+        env = KeyEnvelope.from_text(text)
+    except ValueError:
+        return
+    assert KeyEnvelope.from_text(env.to_text()) == env
+
+
+@SETTINGS
+@given(side_channel_files())
+def test_side_file_serialize_parse_serialize_is_byte_exact(side):
+    data = side.to_bytes()
+    assert SideChannelFile.from_bytes(data).to_bytes() == data
+
+
+@SETTINGS
+@given(ssx1_blobs())
+def test_side_file_parser_raises_only_value_error(blob):
+    try:
+        side = SideChannelFile.from_bytes(blob)
+    except ValueError:
+        return
+    assert side.to_bytes() == blob
