@@ -32,7 +32,7 @@ print(f"(both pass chi2 < {analysis.CHI2_CRITICAL_255_001}; ideal entropy is 8)"
 print()
 print("=== single-pixel sensitivity, 4 rounds ===")
 enc = lambda im: cipher.encrypt_gh401(im, params, 4, sbox)[0]
-res = analysis.differential_test(enc, white, trials=20, seed=0)
+res = analysis.differential_test(enc, white, enc(white), trials=20, seed=0)
 print(f"white: mean NPCR {res.mean_npcr:.4f}%  mean UACI {res.mean_uaci:.4f}%")
 print("(pass thresholds for 256x256: NPCR >= 99.5693, UACI in [33.2824, 33.6447])")
 

@@ -114,19 +114,21 @@ class DifferentialResult:
     seed: int
 
 
-def differential_test(encrypt_fn, img: np.ndarray, trials: int, seed: int) -> DifferentialResult:
+def differential_test(encrypt_fn, img: np.ndarray, base_cipher: np.ndarray,
+                      trials: int, seed: int) -> DifferentialResult:
     """Single-pixel differential harness.
 
-    Per trial t, a pixel chosen by the generator seeded with seed+t is
-    incremented by 1 mod 256, both images are encrypted with the same
-    parameters (``encrypt_fn`` must be a deterministic image -> ciphertext
-    closure), and NPCR/UACI of the ciphertext pair are accumulated.
-    Returns the means plus the trial with the highest NPCR.
+    ``base_cipher`` must be ``encrypt_fn(img)``; callers usually hold it
+    already, so it is not encrypted twice.  Per trial t, a pixel chosen
+    by the generator seeded with seed+t is incremented by 1 mod 256, the
+    changed image is encrypted with the same parameters (``encrypt_fn``
+    must be a deterministic image -> ciphertext closure), and NPCR/UACI
+    against ``base_cipher`` are accumulated.  Returns the means plus the
+    trial with the highest NPCR.
     """
     if trials < 1:
         raise ValueError("need at least 1 trial")
     img = np.asarray(img, dtype=np.uint8)
-    base_cipher = encrypt_fn(img)  # deterministic, so shared by all trials
     npcr_sum = uaci_sum = 0.0
     best = (-1.0, 0.0, -1)
     for t in range(trials):

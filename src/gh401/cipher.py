@@ -185,6 +185,10 @@ class KeyEnvelope:
             raise ValueError("GH401 envelopes carry a 16-byte whitening key")
         if not self.sbox_name:
             raise ValueError("GH401 envelopes carry an S-box name")
+        for label, name in (("system", self.system), ("S-box name", self.sbox_name)):
+            # every field is one line of the text form, so a line break would not read back
+            if name.splitlines() != [name]:
+                raise ValueError(f"envelope {label} {name!r} is not one line of text")
 
     @property
     def rounds(self) -> int:

@@ -121,7 +121,8 @@ def cmd_analyze(args) -> int:
             scheme, system, rounds, params = args.scheme, args.system, args.rounds, _seeded_params(args)
             sbox = _sbox_for(scheme, args)
         encrypt_fn = _encrypt_fn(scheme, params, rounds, sbox, system)
-        diff = analysis.differential_test(encrypt_fn, img, args.trials, args.seed or 0)
+        diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img), args.trials,
+                                          args.seed or 0)
         text += (
             f"differential.scheme={scheme}\n"
             f"differential.trials={diff.trials}\n"
@@ -151,7 +152,7 @@ def cmd_compare(args) -> int:
         header += f"compare.{title}.rounds={key.rounds}\n"
         text = analysis.report_to_text(report, title=title)
         encrypt_fn = _encrypt_fn(scheme, params, args.rounds, sbox, args.system)
-        diff = analysis.differential_test(encrypt_fn, img, args.trials, seed)
+        diff = analysis.differential_test(encrypt_fn, img, cipher_img, args.trials, seed)
         text += (
             f"{title}.differential.mean_npcr={diff.mean_npcr:.6f}\n"
             f"{title}.differential.mean_uaci={diff.mean_uaci:.6f}\n"
@@ -209,6 +210,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(parser, *, scheme=True):
     if scheme:
         parser.add_argument("--scheme", choices=(SCHEME_IEAHF, SCHEME_GH401),
@@ -219,7 +233,7 @@ def _add_common(parser, *, scheme=True):
     parser.add_argument("--rounds", type=int, default=None,
                         help="round count (defaults: IEAHF 2, GH401 4)")
     parser.add_argument("--sbox", default="aes", help=_SBOX_HELP)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="64-bit seed; for encrypt it draws the key parameters")
 
 
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adjacent pixel pairs sampled per correlation (default %(default)s)")
     p.add_argument("--differential", action="store_true",
                    help="run the single-pixel differential harness (encrypts internally)")
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="differential trials (default %(default)s)")
     p.add_argument("--key", help="GH401 key envelope for --differential; it sets the scheme, "
                    "system, rounds and parameters, and --sbox must be the one it names")
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     _add_common(p, scheme=False)
     p.add_argument("--pairs", type=int, default=analysis.DEFAULT_CORRELATION_PAIRS)
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="differential trials per scheme (default %(default)s)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_compare)
@@ -277,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock encrypt/decrypt timing")
     p.add_argument("input", nargs="?", help="PGM image (default: seeded random 256x256)")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="timing repetitions (default %(default)s)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_bench)

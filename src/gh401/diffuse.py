@@ -13,6 +13,9 @@ A bias b is added to every element before and after the matrix multiply:
 ((B + b) @ A + b) mod 256.  With bias 0 the map is linear mod 256, which
 annihilates the all-zero image; with bias 1 the all-zero block maps to a
 nonzero block from round one.
+
+Both directions are computed in uint8 wrap-around, which is exact mod
+256, on strided views of the image.
 """
 
 from __future__ import annotations
@@ -36,36 +39,28 @@ def fib_q_power(n: int):
     return [[f_next, f_n], [f_n, f_before]]
 
 
-def _as_blocks(img: np.ndarray) -> np.ndarray:
+def _mix(img: np.ndarray, matrix: np.ndarray, bias: int) -> np.ndarray:
+    """Per 2x2 block B: ((B + bias) @ matrix + bias) mod 256."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError("expected a 2-D image")
     h, w = img.shape
     if h % 2 or w % 2:
         raise ValueError(f"image dimensions must be even, got {h}x{w}")
-    return img.reshape(h // 2, 2, w // 2, 2).transpose(0, 2, 1, 3).astype(np.int64)
-
-
-def _from_blocks(blocks: np.ndarray, shape) -> np.ndarray:
-    h, w = shape
-    return blocks.transpose(0, 2, 1, 3).reshape(h, w).astype(np.uint8)
+    b = np.uint8(bias % 256)
+    x = img.astype(np.uint8, copy=False) + b
+    m = matrix.tolist()
+    out = np.empty((h, w), dtype=np.uint8)
+    for i, j in np.ndindex(2, 2):
+        out[i::2, j::2] = x[i::2, 0::2] * m[0][j] + x[i::2, 1::2] * m[1][j] + b
+    return out
 
 
 def diffuse(img: np.ndarray, bias: int) -> np.ndarray:
     """Per 2x2 block: ((B + bias) @ A + bias) mod 256."""
-    blocks = _as_blocks(img)
-    if bias:
-        out = ((blocks + bias) @ DIFFUSION_MATRIX + bias) % 256
-    else:
-        out = (blocks @ DIFFUSION_MATRIX) % 256
-    return _from_blocks(out, np.asarray(img).shape)
+    return _mix(img, DIFFUSION_MATRIX, bias)
 
 
 def inverse_diffuse(img: np.ndarray, bias: int) -> np.ndarray:
     """Exact inverse of :func:`diffuse` with the same bias."""
-    blocks = _as_blocks(img)
-    if bias:
-        out = ((blocks - bias) @ DIFFUSION_MATRIX_INV - bias) % 256
-    else:
-        out = (blocks @ DIFFUSION_MATRIX_INV) % 256
-    return _from_blocks(out, np.asarray(img).shape)
+    return _mix(img, DIFFUSION_MATRIX_INV, -bias)

@@ -22,10 +22,7 @@ def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.uint8)
     s = np.asarray(s)
     _check_lengths(p, s)
-    r = p[s]
-    if offset % 256:
-        r += np.uint8(offset % 256)
-    return r
+    return p[s] + np.uint8(offset % 256)
 
 
 def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
@@ -33,8 +30,6 @@ def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     r = np.asarray(r, dtype=np.uint8)
     s = np.asarray(s)
     _check_lengths(r, s)
-    if offset % 256:
-        r = r - np.uint8(offset % 256)
     p = np.empty_like(r)
-    p[s] = r
+    p[s] = r - np.uint8(offset % 256)
     return p

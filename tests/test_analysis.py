@@ -139,21 +139,22 @@ def test_differential_test_deterministic():
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
     enc = lambda im: cipher.encrypt_ieahf(im, PARAMS, 2)[0]
-    r1 = differential_test(enc, img, trials=3, seed=9)
-    r2 = differential_test(enc, img, trials=3, seed=9)
+    r1 = differential_test(enc, img, enc(img), trials=3, seed=9)
+    r2 = differential_test(enc, img, enc(img), trials=3, seed=9)
     assert (r1.mean_npcr, r1.mean_uaci, r1.best_trial) == (r2.mean_npcr, r2.mean_uaci, r2.best_trial)
 
 
 def test_differential_test_requires_trials():
+    zero = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        differential_test(lambda im: im, np.zeros((4, 4), dtype=np.uint8), trials=0, seed=0)
+        differential_test(lambda im: im, zero, zero, trials=0, seed=0)
 
 
 def test_differential_best_tracks_max_npcr():
     img = np.zeros((8, 8), dtype=np.uint8)
     # toy pipeline whose ciphertext equals the plaintext: only the flipped
     # pixel differs, so every trial scores the same tiny NPCR
-    res = differential_test(lambda im: im, img, trials=4, seed=0)
+    res = differential_test(lambda im: im, img, img, trials=4, seed=0)
     assert res.best_npcr == res.mean_npcr == pytest.approx(100.0 / 64)
     assert res.trials == 4
 

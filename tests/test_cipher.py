@@ -1,5 +1,7 @@
 """Pipelines, key envelopes, side-channel file, key-space arithmetic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,8 @@ def random_image(rng, h, w):
     return rng.integers(0, 256, size=(h, w)).astype(np.uint8)
 
 
-def _envelope(n, whitening=bytes(16), sbox_name="aes"):
-    return KeyEnvelope(system="reftestmap",
+def _envelope(n, whitening=bytes(16), sbox_name="aes", system="reftestmap"):
+    return KeyEnvelope(system=system,
                        ic=chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
                        params=PARAMS, n=n, whitening=whitening, sbox_name=sbox_name)
 
@@ -254,6 +256,16 @@ def test_envelope_validation():
         _envelope(4, sbox_name="")
 
 
+# every boundary str.splitlines knows; the text form must read each name back as one line
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_envelope_rejects_names_with_line_breaks(brk):
+    with pytest.raises(ValueError, match="one line"):
+        _envelope(4, sbox_name=f"a{brk}b")
+    with pytest.raises(ValueError, match="one line"):
+        _envelope(4, system=f"reftestmap{brk}")
+
+
 # ---------------------------------------------------- scheme dispatch
 
 @pytest.mark.parametrize("scheme, key_type, rounds", [
@@ -291,3 +303,33 @@ def test_bandwidth_ratio():
     assert cipher.bandwidth_ratio(1, 1, 1) < 1  # degenerate, no clamping
     with pytest.raises(ValueError):
         cipher.bandwidth_ratio(0, 256, 1)
+
+
+# ------------------------------------------------------ golden ciphertexts
+
+# SHA-256 over ciphertext and key material of a seeded random 16x24, an
+# all-black and an all-white 16x16 image, per (scheme, system, S-box) at
+# the scheme's default rounds.  Any change to what either cipher emits,
+# however it is computed, fails here.
+GOLDEN_DIGESTS = {
+    ("IEAHF", "reftestmap", None): "678bf316147001376598ebea8771d943a41cec16f8c3ce2f3f6faf38036c52bb",
+    ("IEAHF", "hosny6d", None): "4bee1c86e1e77e4bd84d4ad73de6f09c7dcc6c137c0c415d57ec6a10a5a55c57",
+    ("GH401", "reftestmap", "aes"): "71980c53e1b05901381cef69d27661fd84af1bcb50d17cee71e9e34a4326e41d",
+    ("GH401", "hosny6d", "aes"): "4f4d620c8c5fd487f2ac6ed28c96c944a15c23f0d02c0ea2f3439fdb0468833e",
+    ("GH401", "reftestmap", "identity"): "d0f1c00330639d74f31aefbee2be838e50e4030fca4f78c035338d972c98c11e",
+    ("GH401", "hosny6d", "identity"): "58e839853fd067de83d8c28c9864b7267b4947225df76c24b986fe4732240b13",
+}
+
+
+@pytest.mark.parametrize("scheme, system, sbox_name", list(GOLDEN_DIGESTS))
+def test_golden_ciphertext_digests(scheme, system, sbox_name):
+    # reftestmap at its default parameters, hosny6d at a drawn key
+    params = (chaos.draw_params(system, 7) if system == "hosny6d"
+              else chaos.default_params(system))
+    sbox = bundled_sbox(sbox_name) if sbox_name else None
+    digest = hashlib.sha256()
+    for img in (random_image(np.random.default_rng(401), 16, 24), black(), white()):
+        c, key = cipher.encrypt(scheme, img, params, sbox=sbox, system=system)
+        digest.update(c.tobytes())
+        digest.update(key.to_bytes() if scheme == cipher.SCHEME_IEAHF else key.to_text().encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[scheme, system, sbox_name]

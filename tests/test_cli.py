@@ -230,6 +230,43 @@ def test_cli_ieahf_runs_its_own_default_or_the_given_rounds(tmp_path, rng, ieahf
     assert ieahf_rounds and set(ieahf_rounds) == {rounds}
 
 
+def test_cli_compare_encrypts_each_plaintext_once(tmp_path, rng, ieahf_rounds):
+    # one base ciphertext shared by the report and the differential, plus one per trial
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    assert cli.main(["compare", src, "--trials", "2", "--pairs", "100",
+                     "--report", str(tmp_path / "r.txt")]) == 0
+    assert len(ieahf_rounds) == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--trials", "0"], "--trials"),
+    (["analyze", "--differential", "--trials", "-3"], "--trials"),
+    (["compare", "--trials", "0"], "--trials"),
+    (["encrypt", "--seed", "-1"], "--seed"),
+    (["bench", "--seed", "-1"], "--seed"),
+], ids=["bench-trials", "analyze-trials", "compare-trials", "encrypt-seed", "bench-seed"])
+def test_cli_rejects_out_of_range_trials_and_seed(tmp_path, capsys, argv, flag):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], src, *argv[1:]])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pgm"]
+
+
+def test_cli_sbox_file_name_with_line_break_writes_nothing(tmp_path, capsys):
+    # the envelope names the S-box by its file stem, which would span two lines
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    sbox = tmp_path / "n\nl.txt"
+    sbox.write_text(" ".join(str(v) for v in range(256)))
+    code = cli.main(["encrypt", src, "--scheme", "GH401", "--sbox", str(sbox)])
+    assert code == cli.EXIT_VALIDATION
+    assert "one line" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n\nl.txt", "p.pgm"]
+
+
 def _differential_lines(tmp_path, argv):
     report = tmp_path / "diff.txt"
     assert cli.main([*argv, "--report", str(report)]) == 0

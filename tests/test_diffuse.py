@@ -88,6 +88,27 @@ def test_roundtrip_property_both_schemes():
         assert np.array_equal(diffuse(inverse_diffuse(img, 1), 1), img)
 
 
+def _oracle(img, matrix, bias):
+    """((B + bias) @ matrix + bias) mod 256 per 2x2 block, in int64."""
+    h, w = img.shape
+    blocks = img.astype(np.int64).reshape(h // 2, 2, w // 2, 2).transpose(0, 2, 1, 3)
+    out = ((blocks + bias) @ matrix + bias) % 256
+    return out.transpose(0, 2, 1, 3).reshape(h, w).astype(np.uint8)
+
+
+@pytest.mark.parametrize("bias", [0, 1])
+def test_matches_int64_block_oracle(bias):
+    # B @ A and A @ B differ, which a round trip alone cannot tell apart
+    rng = np.random.default_rng(10 + bias)
+    for _ in range(200):
+        h = 2 * int(rng.integers(1, 17))
+        w = 2 * int(rng.integers(1, 17))
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        assert np.array_equal(diffuse(img, bias), _oracle(img, DIFFUSION_MATRIX, bias))
+        assert np.array_equal(inverse_diffuse(img, bias),
+                              _oracle(img, DIFFUSION_MATRIX_INV, -bias))
+
+
 def test_ieahf_is_linear_mod_256():
     rng = np.random.default_rng(9)
     x = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
