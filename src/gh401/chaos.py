@@ -164,9 +164,10 @@ class ReferenceTestMap(DynamicalSystem):
 
     def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
         r1, r2, r3, r4, r5, r6 = self.RHO
-        floor = math.floor
-        # Wrap once on entry.  Every later state is n - floor(n) with n >= 0,
-        # already in [0, 1), so wrapping it again would be an exact identity.
+        # Wrap once on entry.  After that every n is finite and >= 0 (a sum
+        # of products of non-negative factors), so n % 1.0, an exact fmod
+        # giving +0.0 at integers, is bit for bit n - floor(n): the
+        # fractional part, already in [0, 1), which needs no second wrap.
         y1, y2, y3, y4, y5, y6 = (_frac(abs(v)) for v in state)
         rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
         extend = rows.extend
@@ -177,12 +178,12 @@ class ReferenceTestMap(DynamicalSystem):
             n4 = r4 * y4 * (1.0 - y4) + 0.1 * y5
             n5 = r5 * y5 * (1.0 - y5) + 0.1 * y6
             n6 = r6 * y6 * (1.0 - y6) + 0.1 * y1
-            y1 = n1 - floor(n1)
-            y2 = n2 - floor(n2)
-            y3 = n3 - floor(n3)
-            y4 = n4 - floor(n4)
-            y5 = n5 - floor(n5)
-            y6 = n6 - floor(n6)
+            y1 = n1 % 1.0
+            y2 = n2 % 1.0
+            y3 = n3 % 1.0
+            y4 = n4 % 1.0
+            y5 = n5 % 1.0
+            y6 = n6 % 1.0
             extend((y1, y2, y3, y4, y5, y6))
         return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
 
@@ -348,11 +349,22 @@ def build_sort_sequence(orbit: np.ndarray, mn: int) -> np.ndarray:
 
 
 def argsort_ascending(values: np.ndarray) -> np.ndarray:
-    """Positions of the values in ascending order, ties kept stable."""
+    """Positions of the values in ascending order, ties kept stable.
+
+    The result is always ``np.argsort(values, kind="stable")``.  Distinct
+    keys have exactly one ascending permutation, so the faster unstable
+    sort is tried first and kept when no two sorted neighbours compare
+    equal; ``==`` also pairs -0.0 with 0.0 and equal infinities.  Only on
+    a tie does the stable sort run.
+    """
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         raise ValueError("cannot sort a sequence containing NaN")
-    return np.argsort(values, kind="stable")
+    order = np.argsort(values, kind="quicksort")
+    ranked = values[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(values, kind="stable")
+    return order
 
 
 WHITENING_KEY_BYTES = 16

@@ -199,9 +199,11 @@ def cmd_bench(args) -> int:
         f"bench.image={img.shape[1]}x{img.shape[0]}\n"
         f"bench.trials={args.trials}\n"
         f"bench.encrypt.mean_s={np.mean(enc_times):.6f}\n"
+        f"bench.encrypt.median_s={np.median(enc_times):.6f}\n"
         f"bench.encrypt.min_s={np.min(enc_times):.6f}\n"
         f"bench.encrypt.max_s={np.max(enc_times):.6f}\n"
         f"bench.decrypt.mean_s={np.mean(dec_times):.6f}\n"
+        f"bench.decrypt.median_s={np.median(dec_times):.6f}\n"
         f"bench.decrypt.min_s={np.min(dec_times):.6f}\n"
         f"bench.decrypt.max_s={np.max(dec_times):.6f}\n"
         "bench.note=wall-clock times are hardware-dependent and informational only\n"
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     _add_common(p)
     p.add_argument("--plain", help="reference image for NPCR/UACI")
-    p.add_argument("--pairs", type=int, default=analysis.DEFAULT_CORRELATION_PAIRS,
+    p.add_argument("--pairs", type=_int_at_least(2), default=analysis.DEFAULT_CORRELATION_PAIRS,
                    help="adjacent pixel pairs sampled per correlation (default %(default)s)")
     p.add_argument("--differential", action="store_true",
                    help="run the single-pixel differential harness (encrypts internally)")
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both schemes on one image, side by side")
     p.add_argument("input")
     _add_common(p, scheme=False)
-    p.add_argument("--pairs", type=int, default=analysis.DEFAULT_CORRELATION_PAIRS)
+    p.add_argument("--pairs", type=_int_at_least(2), default=analysis.DEFAULT_CORRELATION_PAIRS,
+                   help="adjacent pixel pairs sampled per correlation (default %(default)s)")
     p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="differential trials per scheme (default %(default)s)")
     p.add_argument("--report", help="write the report here instead of stdout")

@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gh401 import chaos
+
+SETTINGS = settings(database=None, max_examples=300, deadline=None)
 
 PARAMS_399 = chaos.SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
 
@@ -212,6 +217,64 @@ def test_argsort_is_bijection():
         assert np.array_equal(np.sort(s), np.arange(mn))
 
 
+def _one_duplicate():
+    keys = np.random.default_rng(0).random(32)
+    keys[20] = keys[7]
+    return keys
+
+
+@pytest.mark.parametrize("keys", [
+    [0.7] * 9,
+    [0.0, -0.0, 0.0, -0.0],
+    [0.0, -0.0, 0.0, -0.0] * 2 + [0.5, 0.25] * 4,
+    _one_duplicate(),
+    [np.inf, 0.2, -np.inf, np.inf, -np.inf, 0.5],
+    [],
+    [0.25],
+], ids=["constant", "signed-zeros", "signed-zeros-mixed", "one-duplicate", "infinities",
+        "empty", "single"])
+def test_argsort_ties_fall_back_to_the_stable_order(keys):
+    keys = np.asarray(keys, dtype=np.float64)
+    expected = np.argsort(keys, kind="stable")
+    order = chaos.argsort_ascending(keys)
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
+
+
+# A small pool makes ties, signed zeros and repeated infinities common.
+_TIE_POOL = [-np.inf, -1.5, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(_TIE_POOL) | st.floats(allow_nan=False), max_size=64))
+def test_argsort_matches_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.float64)
+    assert np.array_equal(chaos.argsort_ascending(keys), np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("name", ["reftestmap", "hosny6d"])
+def test_argsort_of_an_orbit_skips_the_stable_sort(monkeypatch, name):
+    # Orbit keys are distinct, so the tie fallback must not fire: a check
+    # that always fired would stay correct but silently lose the fast path.
+    mn = 256 * 256
+    img = np.random.default_rng(0).integers(0, 256, (256, 256)).astype(np.uint8)
+    orbit = chaos.generate_orbit(chaos.get_system(name), chaos.derive_initial_conditions(img),
+                                 chaos.default_params(name), chaos.rows_for_sequence(mn))
+    seq = chaos.build_sort_sequence(orbit, mn)
+    expected = np.argsort(seq, kind="stable")
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, kind=None, **kwargs):
+        kinds.append(kind)
+        return argsort(a, *args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(chaos.np, "argsort", spy)
+    order = chaos.argsort_ascending(seq)
+    assert kinds == ["quicksort"]
+    assert np.array_equal(order, expected)
+
+
 def test_whitening_key_contract():
     ic = chaos.derive_initial_conditions(black())
     orbit = chaos.generate_orbit(chaos.get_system("reftestmap"), ic, PARAMS_399, 8)
@@ -301,3 +364,21 @@ def test_reftestmap_wraps_out_of_range_seeds():
     wrapped = chaos.InitialConditions(1.984496124 - 1.0, 0.2, 0.3, 0.4, 0.5, 0.6)
     orbit2 = chaos.generate_orbit(system, wrapped, PARAMS_399, 5)
     assert np.array_equal(orbit, orbit2)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("n", [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0,
+                               math.nextafter(1.0, 2.0), 1.0999999999999999, 1.5])
+def test_reftestmap_wrap_is_the_exact_fractional_part(n):
+    # The reftestmap update wraps each n >= 0 with n % 1.0; it must be
+    # bit for bit the n - floor(n) the map is defined by.
+    assert _bits(n % 1.0) == _bits(n - math.floor(n))
+
+
+@SETTINGS
+@given(st.floats(min_value=0.0, max_value=2.0) | st.floats(min_value=0.0, allow_infinity=False))
+def test_reftestmap_wrap_matches_floor_for_nonnegative_floats(n):
+    assert _bits(n % 1.0) == _bits(n - math.floor(n))

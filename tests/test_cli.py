@@ -184,6 +184,8 @@ def test_cli_bench_schema(tmp_path, rng):
     assert "bench.trials=2" in text
     assert "bench.encrypt.mean_s=" in text
     assert "bench.decrypt.mean_s=" in text
+    assert "bench.encrypt.median_s=" in text
+    assert "bench.decrypt.median_s=" in text
     assert "informational" in text
 
 
@@ -244,7 +246,10 @@ def test_cli_compare_encrypts_each_plaintext_once(tmp_path, rng, ieahf_rounds):
     (["compare", "--trials", "0"], "--trials"),
     (["encrypt", "--seed", "-1"], "--seed"),
     (["bench", "--seed", "-1"], "--seed"),
-], ids=["bench-trials", "analyze-trials", "compare-trials", "encrypt-seed", "bench-seed"])
+    (["analyze", "--pairs", "0"], "--pairs"),
+    (["compare", "--pairs", "1"], "--pairs"),
+], ids=["bench-trials", "analyze-trials", "compare-trials", "encrypt-seed", "bench-seed",
+        "analyze-pairs", "compare-pairs"])
 def test_cli_rejects_out_of_range_trials_and_seed(tmp_path, capsys, argv, flag):
     src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
     with pytest.raises(SystemExit) as exc:

@@ -6,21 +6,15 @@ parse -> serialize is byte-exact.
 """
 
 import struct
-import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from gh401.chaos import InitialConditions, SystemParams
 from gh401.cipher import MAX_GH401_ROUNDS, KeyEnvelope, SideChannelFile
 
 SETTINGS = settings(database=None, max_examples=200, deadline=None)
-# With no example database Hypothesis still caches source constants, at
-# collection, under ./.hypothesis; keep that cache in a directory removed at exit.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # An envelope value is one line: no control characters or line separators.
