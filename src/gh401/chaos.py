@@ -6,7 +6,8 @@ system past its transient, concatenating the odd state columns into the
 sorting sequence, and quantizing the even columns into the 128-bit
 whitening key.
 
-Two systems are registered:
+There are exactly two systems, each a class with a ``name``, its
+``DEFAULT_PARAMS`` and the ``iterate`` that :func:`generate_orbit` calls:
 
 ``hosny6d``
     A six-dimensional Lorenz-family hyperchaotic flow (Lorenz core plus
@@ -54,17 +55,23 @@ class OrbitDivergenceError(RuntimeError):
         self.variable = variable
 
 
-def _finite_floats(obj) -> None:
-    """Store every field of a frozen dataclass as a finite Python float."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__} field {f.name} is not finite: {value!r}")
-        object.__setattr__(obj, f.name, float(value))
+@dataclass(frozen=True)
+class _SixReals:
+    """Six finite reals, stored as Python floats and read back in field order."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{type(self).__name__} field {f.name} is not finite: {value!r}")
+            object.__setattr__(self, f.name, float(value))
+
+    def as_tuple(self):
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_SixReals):
     """The six real-valued system parameters (a, b, c, d, e, r)."""
 
     a: float
@@ -74,15 +81,9 @@ class SystemParams:
     e: float
     r: float
 
-    def __post_init__(self):
-        _finite_floats(self)
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d, self.e, self.r)
-
 
 @dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(_SixReals):
     """Six finite real seeds of the orbit.
 
     x2..x6 always lie in [0, 1) when produced by
@@ -96,12 +97,6 @@ class InitialConditions:
     x4: float
     x5: float
     x6: float
-
-    def __post_init__(self):
-        _finite_floats(self)
-
-    def as_tuple(self):
-        return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)
 
 
 def _frac(v: float) -> float:
@@ -126,24 +121,7 @@ def derive_initial_conditions(pixels: np.ndarray) -> InitialConditions:
     return InitialConditions(*xs)
 
 
-class DynamicalSystem:
-    """Deterministic map on 6-vectors of reals.
-
-    A system is its :meth:`iterate`: the one update rule, applied
-    ``n_transient + n_keep`` times to ``state`` (a 6-tuple of floats).
-    It returns the last ``n_keep`` states as an ``(n_keep, 6)`` float64
-    array, row i holding the state after update ``n_transient + i + 1``.
-    ``DEFAULT_PARAMS`` is its documented default parameter set, if any.
-    """
-
-    name: str = ""
-    DEFAULT_PARAMS: SystemParams | None = None
-
-    def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ReferenceTestMap(DynamicalSystem):
+class ReferenceTestMap:
     """Coupled logistic ring map on [0, 1)^6.
 
     Update rule, for j = 1..6 with neighbour index (j mod 6) + 1:
@@ -188,7 +166,7 @@ class ReferenceTestMap(DynamicalSystem):
         return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
 
 
-class Hosny6D(DynamicalSystem):
+class Hosny6D:
     """Six-dimensional hyperchaotic flow, one RK4 step per iteration.
 
     The flow couples a Lorenz core (parameters a, b, c) with a damped
@@ -263,16 +241,10 @@ class Hosny6D(DynamicalSystem):
         return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
 
 
-_SYSTEMS: dict[str, DynamicalSystem] = {}
+_SYSTEMS = {system.name: system for system in (ReferenceTestMap(), Hosny6D())}
 
 
-def register_system(system: DynamicalSystem) -> None:
-    if not system.name:
-        raise ValueError("system must carry a non-empty name")
-    _SYSTEMS[system.name] = system
-
-
-def get_system(name: str) -> DynamicalSystem:
+def get_system(name: str) -> ReferenceTestMap | Hosny6D:
     try:
         return _SYSTEMS[name]
     except KeyError:
@@ -284,15 +256,9 @@ def list_systems():
     return sorted(_SYSTEMS)
 
 
-register_system(ReferenceTestMap())
-register_system(Hosny6D())
-
 def default_params(system_name: str) -> SystemParams:
-    """Documented default parameter set for a registered system."""
-    params = get_system(system_name).DEFAULT_PARAMS
-    if params is None:
-        raise ValueError(f"no default parameters for system {system_name!r}")
-    return params
+    """Documented default parameter set of a system."""
+    return get_system(system_name).DEFAULT_PARAMS
 
 
 def draw_params(system_name: str, seed: int) -> SystemParams:
@@ -307,7 +273,7 @@ def draw_params(system_name: str, seed: int) -> SystemParams:
     return SystemParams(*(b * s for b, s in zip(base, scale)))
 
 
-def generate_orbit(system: DynamicalSystem, ic: InitialConditions,
+def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
                    params: SystemParams, length: int) -> np.ndarray:
     """Iterate ``TRANSIENT_LENGTH + length`` times and keep the tail.
 

@@ -37,11 +37,11 @@ from typing import ClassVar
 import numpy as np
 
 from gh401.chaos import (
-    Hosny6D,
     InitialConditions,
     SystemParams,
     argsort_ascending,
     build_sort_sequence,
+    default_params,
     derive_initial_conditions,
     derive_whitening_key,
     generate_orbit,
@@ -317,11 +317,17 @@ def _whitening_mask(whitening: bytes, mn: int) -> np.ndarray:
     return np.tile(key, reps)[:mn]
 
 
+def _require_sbox(sbox) -> None:
+    if sbox is None:
+        raise TypeError("GH401 needs an S-box: sbox is None")
+
+
 def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
                   system: str = DEFAULT_SYSTEM):
     """Hardened pipeline; returns (ciphertext, key envelope)."""
     img = _validate_image(img)
     _check_gh401_rounds(n)
+    _require_sbox(sbox)
     sys_ = get_system(system)
     h, w = img.shape
     mn = h * w
@@ -345,6 +351,7 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
 def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarray:
     """Regenerate the orbit from the envelope and invert the rounds."""
     cipher = _validate_image(cipher)
+    _require_sbox(sbox)
     env.check_sbox(sbox)
     sys_ = get_system(env.system)
     h, w = cipher.shape
@@ -368,7 +375,7 @@ def encrypt(scheme: str, img: np.ndarray, params: SystemParams, rounds: int | No
 
     The key material is a :class:`SideChannelFile` for IEAHF and a
     :class:`KeyEnvelope` for GH401.  ``rounds`` defaults to the scheme's
-    ``DEFAULT_ROUNDS`` entry; ``sbox`` is used by GH401 only.
+    ``DEFAULT_ROUNDS`` entry; ``sbox`` is required by GH401, unused by IEAHF.
     """
     if scheme not in DEFAULT_ROUNDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -408,7 +415,7 @@ def _nominal_envelope_bytes() -> int:
     # image, the hosny6d default parameter set, default rounds, bundled
     # strong S-box.
     ic = derive_initial_conditions(np.zeros((256, 256), dtype=np.uint8))
-    env = KeyEnvelope(system="hosny6d", ic=ic, params=Hosny6D.DEFAULT_PARAMS,
+    env = KeyEnvelope(system="hosny6d", ic=ic, params=default_params("hosny6d"),
                       n=DEFAULT_ROUNDS[SCHEME_GH401], whitening=bytes(16), sbox_name="aes")
     return len(env.to_text().encode("utf-8"))
 

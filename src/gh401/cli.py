@@ -232,7 +232,7 @@ def _add_common(parser, *, scheme=True):
     parser.add_argument("--system", choices=tuple(chaos.list_systems()),
                         default=cipher.DEFAULT_SYSTEM,
                         help="dynamical system id (default %(default)s)")
-    parser.add_argument("--rounds", type=int, default=None,
+    parser.add_argument("--rounds", type=_int_at_least(1), default=None,
                         help="round count (defaults: IEAHF 2, GH401 4)")
     parser.add_argument("--sbox", default="aes", help=_SBOX_HELP)
     parser.add_argument("--seed", type=_int_at_least(0), default=None,

@@ -287,6 +287,29 @@ def test_dispatch_rejects_unknown_scheme_and_key():
         cipher.decrypt(black(8), b"not a key")
 
 
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    calls = []
+    generate = cipher.generate_orbit
+    monkeypatch.setattr(cipher, "generate_orbit",
+                        lambda *a, **k: calls.append(1) or generate(*a, **k))
+    return calls
+
+
+def test_dispatch_gh401_encrypt_without_sbox_generates_no_orbit(orbit_calls):
+    with pytest.raises(TypeError, match="S-box"):
+        cipher.encrypt(cipher.SCHEME_GH401, black(8), PARAMS)
+    assert orbit_calls == []
+
+
+def test_dispatch_gh401_decrypt_without_sbox_generates_no_orbit(orbit_calls):
+    c, env = cipher.encrypt(cipher.SCHEME_GH401, black(8), PARAMS, sbox=AES)
+    orbit_calls.clear()
+    with pytest.raises(TypeError, match="S-box"):
+        cipher.decrypt(c, env)
+    assert orbit_calls == []
+
+
 # ------------------------------------------------- key space / bandwidth
 
 def test_key_space_bits():

@@ -248,8 +248,10 @@ def test_cli_compare_encrypts_each_plaintext_once(tmp_path, rng, ieahf_rounds):
     (["bench", "--seed", "-1"], "--seed"),
     (["analyze", "--pairs", "0"], "--pairs"),
     (["compare", "--pairs", "1"], "--pairs"),
+    (["encrypt", "--rounds", "0"], "--rounds"),
+    (["bench", "--rounds", "-1"], "--rounds"),
 ], ids=["bench-trials", "analyze-trials", "compare-trials", "encrypt-seed", "bench-seed",
-        "analyze-pairs", "compare-pairs"])
+        "analyze-pairs", "compare-pairs", "encrypt-rounds", "bench-rounds"])
 def test_cli_rejects_out_of_range_trials_and_seed(tmp_path, capsys, argv, flag):
     src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
     with pytest.raises(SystemExit) as exc:
@@ -291,6 +293,19 @@ def test_cli_analyze_key_takes_scheme_system_and_rounds_from_envelope(tmp_path):
     explicit = _differential_lines(tmp_path, [*argv, "--system", "hosny6d", "--rounds", "5"])
     assert from_key == explicit
     assert "differential.scheme=GH401" in from_key
+
+
+def test_cli_analyze_key_still_takes_seed(tmp_path):
+    # --key sets the cipher; --seed still seeds the trial pixels and the correlation sample.
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    key = tmp_path / "c.key"
+    assert cli.main(["encrypt", src, "--out", str(tmp_path / "c.pgm"), "--key", str(key)]) == 0
+    report = tmp_path / "r.txt"
+    assert cli.main(["analyze", src, "--differential", "--trials", "2", "--pairs", "10",
+                     "--key", str(key), "--seed", "5", "--report", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert "image.seed=5" in lines
+    assert "differential.seed=5" in lines
 
 
 def test_cli_ieahf_decrypt_checks_each_permutation_once(tmp_path, rng, monkeypatch):
@@ -398,6 +413,18 @@ def test_cli_envelope_sbox_must_match(tmp_path, capsys, command):
     capsys.readouterr()
     assert _reads_envelope(tmp_path, command, key, "--sbox", "identity") == cli.EXIT_MISMATCH
     assert "S-box 'aes', got 'identity'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decrypt", "analyze"])
+def test_cli_envelope_unknown_system_is_validation_error(tmp_path, capsys, command):
+    _, key = _gh401_envelope(tmp_path, "reftestmap")
+    _set_field(key, "system", "nope")
+    capsys.readouterr()
+    assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown dynamical system 'nope'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["decrypt", "analyze"])
