@@ -140,7 +140,7 @@ class ReferenceTestMap:
 
     RHO = tuple(3.99 + 0.001 * j for j in (1, 2, 3, 4, 5, 6))
 
-    def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
+    def iterate(self, state, params: SystemParams, steps: int) -> np.ndarray:
         r1, r2, r3, r4, r5, r6 = self.RHO
         # Wrap once on entry.  After that every n is finite and >= 0 (a sum
         # of products of non-negative factors), so n % 1.0, an exact fmod
@@ -149,7 +149,7 @@ class ReferenceTestMap:
         y1, y2, y3, y4, y5, y6 = (_frac(abs(v)) for v in state)
         rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
         extend = rows.extend
-        for _ in range(n_transient + n_keep):
+        for _ in range(steps):
             n1 = r1 * y1 * (1.0 - y1) + 0.1 * y2
             n2 = r2 * y2 * (1.0 - y2) + 0.1 * y3
             n3 = r3 * y3 * (1.0 - y3) + 0.1 * y4
@@ -163,7 +163,7 @@ class ReferenceTestMap:
             y5 = n5 % 1.0
             y6 = n6 % 1.0
             extend((y1, y2, y3, y4, y5, y6))
-        return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
+        return np.frombuffer(rows, dtype=np.float64).reshape(steps, 6)
 
 
 class Hosny6D:
@@ -190,7 +190,7 @@ class Hosny6D:
 
     DEFAULT_PARAMS = SystemParams(10.0, 8.0 / 3.0, 28.0, -1.0, 8.0, 3.0)
 
-    def iterate(self, state, params: SystemParams, n_transient: int, n_keep: int) -> np.ndarray:
+    def iterate(self, state, params: SystemParams, steps: int) -> np.ndarray:
         a, b, c, d, e, r = params.as_tuple()
         ne = -e
         h = RK4_STEP
@@ -198,7 +198,7 @@ class Hosny6D:
         x1, x2, x3, x4, x5, x6 = state
         rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
         extend = rows.extend
-        for _ in range(n_transient + n_keep):
+        for _ in range(steps):
             # k1 = f(x)
             p13 = x1 * x3
             k11 = a * (x2 - x1) + x4 - x6
@@ -238,7 +238,7 @@ class Hosny6D:
             x5 += h6 * (((k15 + 2.0 * k25) + 2.0 * k35) + ne * s2)
             x6 += h6 * (((k16 + 2.0 * k26) + 2.0 * k36) + r * s1)
             extend((x1, x2, x3, x4, x5, x6))
-        return np.frombuffer(rows, dtype=np.float64)[6 * n_transient:].reshape(n_keep, 6)
+        return np.frombuffer(rows, dtype=np.float64).reshape(steps, 6)
 
 
 _SYSTEMS = {system.name: system for system in (ReferenceTestMap(), Hosny6D())}
@@ -284,14 +284,11 @@ def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
-    orbit = system.iterate(ic.as_tuple(), params, TRANSIENT_LENGTH, length)
-    if not np.isfinite(orbit).all():
-        # Error path only: replay with the transient kept, so a divergence
-        # inside the transient is reported at its real row.
-        full = system.iterate(ic.as_tuple(), params, 0, TRANSIENT_LENGTH + length)
+    full = system.iterate(ic.as_tuple(), params, TRANSIENT_LENGTH + length)
+    if not np.isfinite(full).all():
         row, col = np.argwhere(~np.isfinite(full))[0]
         raise OrbitDivergenceError(int(row), f"x{col + 1}")
-    return orbit
+    return full[TRANSIENT_LENGTH:]
 
 
 def rows_for_sequence(mn: int) -> int:

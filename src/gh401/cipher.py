@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -86,7 +86,7 @@ def _validate_image(img) -> np.ndarray:
     return img
 
 
-def _check_gh401_rounds(n: int) -> None:
+def check_gh401_rounds(n: int) -> None:
     if not 3 <= n <= MAX_GH401_ROUNDS:
         raise ValueError(f"GH401 uses at least 3 rounds and at most {MAX_GH401_ROUNDS}, got {n}")
 
@@ -100,8 +100,9 @@ class SideChannelFile:
     """Per-round sorting vectors plus per-round image checksums.
 
     Binary layout: magic ``SSX1``, then rounds, width, height as 32-bit
-    little-endian, then per round width*height 32-bit little-endian
-    0-based indices followed by a 32-bit CRC32 of the post-round image.
+    little-endian, then a rounds x (width*height + 1) table of 32-bit
+    little-endian values: each row holds one round's 0-based indices
+    followed by the CRC32 of the post-round image.
     Construction checks that every round holds a bijection on
     [0, width*height), so serialization and decryption need not.
     """
@@ -131,11 +132,11 @@ class SideChannelFile:
         return len(self.perms)
 
     def to_bytes(self) -> bytes:
-        out = [SS_MAGIC, struct.pack("<III", self.rounds, self.width, self.height)]
-        for perm, cks in zip(self.perms, self.checksums):
-            out.append(np.asarray(perm, dtype="<u4").tobytes())
-            out.append(struct.pack("<I", cks))
-        return b"".join(out)
+        table = np.empty((self.rounds, self.width * self.height + 1), dtype="<u4")
+        table[:, :-1] = self.perms
+        table[:, -1] = self.checksums
+        header = SS_MAGIC + struct.pack("<III", self.rounds, self.width, self.height)
+        return header + table.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
@@ -148,16 +149,9 @@ class SideChannelFile:
         expected = 16 + rounds * (4 * mn + 4)
         if len(data) != expected:
             raise ValueError(f"side-channel file is {len(data)} bytes, expected {expected}")
-        perms, checksums = [], []
-        off = 16
-        for _ in range(rounds):
-            perm = np.frombuffer(data, dtype="<u4", count=mn, offset=off).astype(np.int64)
-            off += 4 * mn
-            (cks,) = struct.unpack_from("<I", data, off)
-            off += 4
-            perms.append(perm)
-            checksums.append(cks)
-        return cls(width=width, height=height, perms=perms, checksums=checksums)
+        table = np.frombuffer(data, dtype="<u4", offset=16).reshape(rounds, mn + 1)
+        return cls(width=width, height=height, perms=list(table[:, :-1].astype(np.int64)),
+                   checksums=table[:, -1].tolist())
 
 
 @dataclass
@@ -180,7 +174,7 @@ class KeyEnvelope:
     sbox_name: str
 
     def __post_init__(self):
-        _check_gh401_rounds(self.n)
+        check_gh401_rounds(self.n)
         if len(self.whitening) != 16:
             raise ValueError("GH401 envelopes carry a 16-byte whitening key")
         if not self.sbox_name:
@@ -200,20 +194,13 @@ class KeyEnvelope:
             raise EnvelopeMismatchError(
                 f"envelope was made with S-box {self.sbox_name!r}, got {sbox.name!r}")
 
-    _IC_FIELDS = ("x1", "x2", "x3", "x4", "x5", "x6")
-    _PARAM_FIELDS = ("a", "b", "c", "d", "e", "r")
-    _FIELDS = ("scheme", "system", *_IC_FIELDS, *_PARAM_FIELDS, "n", "whitening", "sbox")
+    _REALS = tuple(f.name for reals in (InitialConditions, SystemParams) for f in fields(reals))
+    _FIELDS = ("scheme", "system", *_REALS, "n", "whitening", "sbox")
 
     def to_text(self) -> str:
-        lines = [f"scheme={self.scheme}", f"system={self.system}"]
-        for name, value in zip(self._IC_FIELDS, self.ic.as_tuple()):
-            lines.append(f"{name}={value:.17g}")
-        for name, value in zip(self._PARAM_FIELDS, self.params.as_tuple()):
-            lines.append(f"{name}={value:.17g}")
-        lines.append(f"n={self.n}")
-        lines.append(f"whitening={self.whitening.hex()}")
-        lines.append(f"sbox={self.sbox_name}")
-        return "\n".join(lines) + "\n"
+        reals = (f"{value:.17g}" for value in (*self.ic.as_tuple(), *self.params.as_tuple()))
+        values = (self.scheme, self.system, *reals, self.n, self.whitening.hex(), self.sbox_name)
+        return "".join(f"{name}={value}\n" for name, value in zip(self._FIELDS, values))
 
     @classmethod
     def from_text(cls, text: str) -> "KeyEnvelope":
@@ -225,16 +212,16 @@ class KeyEnvelope:
                 raise ValueError(f"envelope line {lineno} is not field=value: {line!r}")
             key, _, value = line.partition("=")
             pairs.append((key, value))
-        fields = dict(pairs)
-        if fields.get("scheme") != cls.scheme:
-            raise ValueError(f"envelope is for scheme {fields.get('scheme')!r}; "
+        values = dict(pairs)
+        if values.get("scheme") != cls.scheme:
+            raise ValueError(f"envelope is for scheme {values.get('scheme')!r}; "
                              f"key envelopes are {cls.scheme}-only")
         if tuple(k for k, _ in pairs) != cls._FIELDS:
             raise ValueError("envelope fields missing, repeated, or out of order")
-        ic = InitialConditions(*(float(fields[k]) for k in cls._IC_FIELDS))
-        params = SystemParams(*(float(fields[k]) for k in cls._PARAM_FIELDS))
-        return cls(system=fields["system"], ic=ic, params=params, n=int(fields["n"]),
-                   whitening=bytes.fromhex(fields["whitening"]), sbox_name=fields["sbox"])
+        reals = [float(values[k]) for k in cls._REALS]
+        return cls(system=values["system"], ic=InitialConditions(*reals[:6]),
+                   params=SystemParams(*reals[6:]), n=int(values["n"]),
+                   whitening=bytes.fromhex(values["whitening"]), sbox_name=values["sbox"])
 
 
 def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -298,7 +285,7 @@ def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
     cipher = _validate_image(cipher)
     h, w = cipher.shape
     if (side.width, side.height) != (w, h):
-        raise ValueError(
+        raise ChecksumMismatchError(
             f"side-channel file is for {side.width}x{side.height}, image is {w}x{h}")
     cur = cipher
     for k in reversed(range(side.rounds)):
@@ -326,7 +313,7 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
                   system: str = DEFAULT_SYSTEM):
     """Hardened pipeline; returns (ciphertext, key envelope)."""
     img = _validate_image(img)
-    _check_gh401_rounds(n)
+    check_gh401_rounds(n)
     _require_sbox(sbox)
     sys_ = get_system(system)
     h, w = img.shape

@@ -24,15 +24,14 @@ import numpy as np
 from gh401 import analysis, chaos, cipher
 from gh401.cipher import SCHEME_GH401, SCHEME_IEAHF
 from gh401.image_io import read_pgm, write_atomic, write_pgm
-from gh401.sbox import bundled_sbox, load_sbox, transparency_order
+from gh401.sbox import BUNDLED_SBOXES, bundled_sbox, load_sbox, transparency_order
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
-_BUNDLED_SBOXES = ("aes", "identity")
-_SBOX_HELP = "bundled S-box name (aes, identity) or a .txt/.bin table file"
+_SBOX_HELP = f"bundled S-box name ({', '.join(BUNDLED_SBOXES)}) or a .txt/.bin table file"
 
 
 def _emit(text: str, report_path) -> None:
@@ -43,7 +42,7 @@ def _emit(text: str, report_path) -> None:
 
 
 def _resolve_sbox(value: str):
-    if value in _BUNDLED_SBOXES:
+    if value in BUNDLED_SBOXES:
         return bundled_sbox(value)
     return load_sbox(value)
 
@@ -139,6 +138,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     """Both schemes on one image: per-scheme metrics plus differential means."""
+    if args.rounds is not None:
+        cipher.check_gh401_rounds(args.rounds)  # GH401 runs too; fail before IEAHF works
     img = read_pgm(args.input)
     seed = args.seed or 0
     params = _seeded_params(args)

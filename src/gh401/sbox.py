@@ -71,9 +71,10 @@ def load_sbox(source, name: str | None = None) -> SBox8:
         else:
             raise ValueError(f"unsupported S-box file extension: {path!r} (use .txt or .bin)")
         return SBox8(values, name=name or stem)
-    if isinstance(source, (bytes, bytearray)):
-        return SBox8(list(source), name=name or "custom")
     return SBox8(source, name=name or "custom")
+
+
+BUNDLED_SBOXES = ("aes", "identity")
 
 
 def bundled_sbox(name: str) -> SBox8:
@@ -87,7 +88,7 @@ def bundled_sbox(name: str) -> SBox8:
     if name == "aes":
         text = resources.files("gh401").joinpath("data/aes_sbox.txt").read_text()
         return SBox8([int(tok) for tok in text.split()], name="aes")
-    raise ValueError(f"unknown bundled S-box {name!r} (known: aes, identity)")
+    raise ValueError(f"unknown bundled S-box {name!r} (known: {', '.join(BUNDLED_SBOXES)})")
 
 
 def substitute(img: np.ndarray, s: SBox8, inverse: bool = False) -> np.ndarray:

@@ -118,15 +118,15 @@ def test_golden_orbit_digests(case):
 
 @pytest.mark.parametrize("name", ["reftestmap", "hosny6d"])
 def test_iterate_contract(name):
-    # iterate keeps the last n_keep of n_transient + n_keep states, so a
-    # split transient is the tail of one unsplit run.
+    # iterate returns all of its `steps` states, so a shorter run is a
+    # prefix of a longer one.
     system = chaos.get_system(name)
     params = chaos.default_params(name)
     state = chaos.derive_initial_conditions(black((16, 16))).as_tuple()
-    full = system.iterate(state, params, 0, 100)
+    full = system.iterate(state, params, 100)
     assert full.shape == (100, 6) and full.dtype == np.float64
-    assert np.array_equal(system.iterate(state, params, 40, 60), full[40:])
-    assert system.iterate(state, params, 5, 0).shape == (0, 6)
+    assert np.array_equal(system.iterate(state, params, 40), full[:40])
+    assert system.iterate(state, params, 0).shape == (0, 6)
 
 
 def test_golden_orbit_row():
@@ -156,11 +156,39 @@ def test_orbit_divergence_inside_transient_names_first_bad_row():
         chaos.generate_orbit(system, ic, params, 10)
     step = err.value.step
     assert 0 < step < chaos.TRANSIENT_LENGTH
-    full = system.iterate(ic.as_tuple(), params, 0, step + 1)
+    full = system.iterate(ic.as_tuple(), params, step + 1)
     assert np.isfinite(full[:step]).all()
     bad_cols = np.flatnonzero(~np.isfinite(full[step]))
     assert err.value.variable == f"x{bad_cols[0] + 1}"
     assert f"iteration {step} ({err.value.variable} " in str(err.value)
+
+
+def test_orbit_divergence_after_transient_names_its_full_trajectory_row():
+    # With d = 10 the flow stays finite through the transient; x1 overflows
+    # in kept row 318, which is row 1318 of the full run.
+    system = chaos.get_system("hosny6d")
+    params = chaos.SystemParams(10.0, 8.0 / 3.0, 28.0, 10.0, 8.0, 3.0)
+    ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    with pytest.raises(chaos.OrbitDivergenceError) as err:
+        chaos.generate_orbit(system, ic, params, 1000)
+    assert (err.value.step, err.value.variable) == (1318, "x1")
+
+
+def test_generate_orbit_iterates_once(monkeypatch):
+    # One run yields the kept rows and, on divergence, the row that names it.
+    system = chaos.get_system("hosny6d")
+    calls = []
+
+    def spy(state, params, steps):
+        calls.append(steps)
+        return type(system).iterate(system, state, params, steps)
+
+    monkeypatch.setattr(system, "iterate", spy)
+    ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    chaos.generate_orbit(system, ic, chaos.default_params("hosny6d"), 10)
+    with pytest.raises(chaos.OrbitDivergenceError):
+        chaos.generate_orbit(system, ic, chaos.SystemParams(1e100, 1, 1, 1, 1, 1), 10)
+    assert calls == [chaos.TRANSIENT_LENGTH + 10] * 2
 
 
 def test_generate_orbit_rejects_zero_length():

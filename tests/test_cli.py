@@ -119,6 +119,22 @@ def test_cli_wrong_side_file_is_mismatch(tmp_path, rng):
     assert code == cli.EXIT_MISMATCH
 
 
+def test_cli_side_file_for_another_image_size_is_mismatch(tmp_path, capsys):
+    small = write_image(tmp_path / "s.pgm", np.zeros((8, 8), dtype=np.uint8))
+    large = write_image(tmp_path / "l.pgm", np.zeros((16, 16), dtype=np.uint8))
+    ss = str(tmp_path / "s.ss")
+    assert cli.main(["encrypt", small, "--scheme", "IEAHF", "--out", str(tmp_path / "s.enc.pgm"),
+                     "--ss", ss]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x.pgm"
+    code = cli.main(["decrypt", large, "--ss", ss, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_MISMATCH
+    assert "side-channel file is for 8x8, image is 16x16" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_decrypt_needs_key_or_ss(tmp_path):
     src = write_image(tmp_path / "c.pgm", np.zeros((8, 8), dtype=np.uint8))
     assert cli.main(["decrypt", src, "--out", str(tmp_path / "p.pgm")]) == cli.EXIT_VALIDATION
@@ -238,6 +254,17 @@ def test_cli_compare_encrypts_each_plaintext_once(tmp_path, rng, ieahf_rounds):
     assert cli.main(["compare", src, "--trials", "2", "--pairs", "100",
                      "--report", str(tmp_path / "r.txt")]) == 0
     assert len(ieahf_rounds) == 3
+
+
+@pytest.mark.parametrize("rounds", ["2", "256"])
+def test_cli_compare_checks_gh401_rounds_before_any_encryption(tmp_path, capsys, ieahf_rounds,
+                                                               rounds):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    code = cli.main(["compare", src, "--rounds", rounds, "--report", str(tmp_path / "r.txt")])
+    assert code == cli.EXIT_VALIDATION
+    assert "GH401 uses at least 3 rounds" in capsys.readouterr().err
+    assert ieahf_rounds == []
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -88,6 +88,13 @@ def test_load_sbox_text_and_binary(tmp_path):
     assert np.array_equal(s2.table, np.arange(256))
 
 
+@pytest.mark.parametrize("table", [bytes(range(256)), bytearray(range(256))])
+def test_load_sbox_bytes_is_a_table_not_a_path(table):
+    s = load_sbox(table)
+    assert s.name == "custom"
+    assert np.array_equal(s.table, np.arange(256))
+
+
 def test_load_sbox_length_error(tmp_path):
     short = tmp_path / "short.bin"
     short.write_bytes(bytes(range(255)))
