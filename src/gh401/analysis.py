@@ -214,27 +214,30 @@ def _fmt_corr(value: float | None) -> str:
     return "undefined (zero variance)" if value is None else f"{value:.4f}"
 
 
+def key_value_text(pairs, prefix: str = "") -> str:
+    """One ``prefix+key=value`` line per (key, value) pair, in order: every report's format."""
+    return "".join(f"{prefix}{key}={value}\n" for key, value in pairs)
+
+
 def report_to_text(report: AnalysisReport, title: str = "analysis") -> str:
     """Deterministic key=value rendering of a report.
 
     Percentages carry 6 decimal places, correlations 4.
     """
-    lines = [
-        f"{title}.width={report.width}",
-        f"{title}.height={report.height}",
-        f"{title}.entropy={report.entropy:.6f}",
-        f"{title}.chi_square={report.chi_square:.3f}",
-        f"{title}.chi_square_pass={str(report.chi_square_pass).lower()}",
-        f"{title}.chi_square_critical={CHI2_CRITICAL_255_001}",
-        f"{title}.correlation.h={_fmt_corr(report.corr_h)}",
-        f"{title}.correlation.v={_fmt_corr(report.corr_v)}",
-        f"{title}.correlation.d={_fmt_corr(report.corr_d)}",
-        f"{title}.correlation.pairs={report.pairs}",
-        f"{title}.seed={report.seed}",
+    pairs = [
+        ("width", report.width),
+        ("height", report.height),
+        ("entropy", f"{report.entropy:.6f}"),
+        ("chi_square", f"{report.chi_square:.3f}"),
+        ("chi_square_pass", str(report.chi_square_pass).lower()),
+        ("chi_square_critical", CHI2_CRITICAL_255_001),
+        ("correlation.h", _fmt_corr(report.corr_h)),
+        ("correlation.v", _fmt_corr(report.corr_v)),
+        ("correlation.d", _fmt_corr(report.corr_d)),
+        ("correlation.pairs", report.pairs),
+        ("seed", report.seed),
     ]
     if report.npcr is not None:
-        lines.append(f"{title}.npcr={report.npcr:.6f}")
-        lines.append(f"{title}.uaci={report.uaci:.6f}")
-    hist = ",".join(str(int(v)) for v in report.histogram)
-    lines.append(f"{title}.histogram={hist}")
-    return "\n".join(lines) + "\n"
+        pairs += [("npcr", f"{report.npcr:.6f}"), ("uaci", f"{report.uaci:.6f}")]
+    pairs.append(("histogram", ",".join(str(int(v)) for v in report.histogram)))
+    return key_value_text(pairs, prefix=f"{title}.")

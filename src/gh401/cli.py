@@ -47,15 +47,16 @@ def _resolve_sbox(value: str):
     return load_sbox(value)
 
 
-def _sbox_for(scheme: str, args):
-    """The --sbox table for GH401; IEAHF has no S-box stage, so none is loaded."""
-    return _resolve_sbox(args.sbox) if scheme == SCHEME_GH401 else None
+def _settings(scheme: str, args):
+    """The ``(params, rounds, sbox, system)`` that ``cipher.encrypt`` takes after the image.
 
-
-def _seeded_params(args) -> chaos.SystemParams:
-    if args.seed is not None:
-        return chaos.draw_params(args.system, args.seed)
-    return chaos.default_params(args.system)
+    ``--seed`` draws the parameters, else the system's defaults are used.
+    IEAHF has no S-box stage, so only GH401 loads ``--sbox``.
+    """
+    params = (chaos.default_params(args.system) if args.seed is None
+              else chaos.draw_params(args.system, args.seed))
+    sbox = _resolve_sbox(args.sbox) if scheme == SCHEME_GH401 else None
+    return params, args.rounds, sbox, args.system
 
 
 def _read_envelope(path) -> cipher.KeyEnvelope:
@@ -69,16 +70,17 @@ def _default_out(input_path: str, suffix: str) -> str:
 
 
 def cmd_encrypt(args) -> int:
+    flag, other = ("ss", "key") if args.scheme == SCHEME_IEAHF else ("key", "ss")
+    if getattr(args, other):
+        raise ValueError(f"{args.scheme} writes its key file to --{flag}, not --{other}")
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".enc.pgm")
-    cipher_img, key = cipher.encrypt(args.scheme, img, _seeded_params(args), args.rounds,
-                                     _sbox_for(args.scheme, args), system=args.system)
+    cipher_img, key = cipher.encrypt(args.scheme, img, *_settings(args.scheme, args))
+    key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
     if args.scheme == SCHEME_IEAHF:
-        label, key_path = "side-channel file", args.ss or _default_out(args.input, ".ss")
-        data = key.to_bytes()
+        label, data = "side-channel file", key.to_bytes()
     else:
-        label, key_path = "key envelope", args.key or _default_out(args.input, ".key")
-        data = key.to_text().encode("utf-8")
+        label, data = "key envelope", key.to_text().encode("utf-8")
     write_pgm(out, cipher_img)
     write_atomic(key_path, data)
     print(f"ciphertext: {out}")
@@ -87,25 +89,28 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    if bool(args.key) == bool(args.ss):
+        raise ValueError("decrypt takes exactly one of --key (GH401 envelope) "
+                         "and --ss (IEAHF side-channel file)")
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".dec.pgm")
     if args.ss:
         with open(args.ss, "rb") as fh:
             key, sbox = cipher.SideChannelFile.from_bytes(fh.read()), None
-    elif args.key:
-        key, sbox = _read_envelope(args.key), _resolve_sbox(args.sbox)
     else:
-        raise ValueError("decrypt needs --key (GH401 envelope) or --ss (IEAHF side-channel file)")
+        key, sbox = _read_envelope(args.key), _resolve_sbox(args.sbox)
     write_pgm(out, cipher.decrypt(img, key, sbox))
     print(f"plaintext: {out}")
     return EXIT_OK
 
 
-def _encrypt_fn(scheme, params, rounds, sbox, system):
-    return lambda im: cipher.encrypt(scheme, im, params, rounds, sbox, system=system)[0]
+def _encrypt_fn(scheme, settings):
+    return lambda im: cipher.encrypt(scheme, im, *settings)[0]
 
 
 def cmd_analyze(args) -> int:
+    if args.key and not args.differential:
+        raise ValueError("--key is read only by --differential")
     img = read_pgm(args.input)
     plain = read_pgm(args.plain) if args.plain else None
     report = analysis.full_report(img, plain, pairs=args.pairs, seed=args.seed or 0)
@@ -115,23 +120,17 @@ def cmd_analyze(args) -> int:
             env = _read_envelope(args.key)
             sbox = _resolve_sbox(args.sbox)
             env.check_sbox(sbox)
-            scheme, system, rounds, params = env.scheme, env.system, env.n, env.params
+            scheme, settings = env.scheme, (env.params, env.n, sbox, env.system)
         else:
-            scheme, system, rounds, params = args.scheme, args.system, args.rounds, _seeded_params(args)
-            sbox = _sbox_for(scheme, args)
-        encrypt_fn = _encrypt_fn(scheme, params, rounds, sbox, system)
+            scheme, settings = args.scheme, _settings(args.scheme, args)
+        encrypt_fn = _encrypt_fn(scheme, settings)
         diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img), args.trials,
                                           args.seed or 0)
-        text += (
-            f"differential.scheme={scheme}\n"
-            f"differential.trials={diff.trials}\n"
-            f"differential.seed={diff.seed}\n"
-            f"differential.mean_npcr={diff.mean_npcr:.6f}\n"
-            f"differential.mean_uaci={diff.mean_uaci:.6f}\n"
-            f"differential.best_npcr={diff.best_npcr:.6f}\n"
-            f"differential.best_uaci={diff.best_uaci:.6f}\n"
-            f"differential.best_trial={diff.best_trial}\n"
-        )
+        text += analysis.key_value_text([
+            ("scheme", scheme), ("trials", diff.trials), ("seed", diff.seed),
+            ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
+            ("best_npcr", f"{diff.best_npcr:.6f}"), ("best_uaci", f"{diff.best_uaci:.6f}"),
+            ("best_trial", diff.best_trial)], prefix="differential.")
     _emit(text, args.report)
     return EXIT_OK
 
@@ -142,39 +141,32 @@ def cmd_compare(args) -> int:
         cipher.check_gh401_rounds(args.rounds)  # GH401 runs too; fail before IEAHF works
     img = read_pgm(args.input)
     seed = args.seed or 0
-    params = _seeded_params(args)
-    header = "# informational comparison; third-party schemes are not implemented\n"
-    sections = []
-    for scheme in (SCHEME_IEAHF, SCHEME_GH401):
-        sbox = _sbox_for(scheme, args)
-        cipher_img, key = cipher.encrypt(scheme, img, params, args.rounds, sbox, system=args.system)
-        report = analysis.full_report(cipher_img, img, pairs=args.pairs, seed=seed)
+    header, sections = [], []
+    # GH401 loads --sbox here, so a bad one fails before IEAHF works too
+    runs = [(scheme, _settings(scheme, args)) for scheme in (SCHEME_IEAHF, SCHEME_GH401)]
+    for scheme, settings in runs:
+        cipher_img, key = cipher.encrypt(scheme, img, *settings)
         title = scheme.lower()
-        header += f"compare.{title}.rounds={key.rounds}\n"
-        text = analysis.report_to_text(report, title=title)
-        encrypt_fn = _encrypt_fn(scheme, params, args.rounds, sbox, args.system)
-        diff = analysis.differential_test(encrypt_fn, img, cipher_img, args.trials, seed)
-        text += (
-            f"{title}.differential.mean_npcr={diff.mean_npcr:.6f}\n"
-            f"{title}.differential.mean_uaci={diff.mean_uaci:.6f}\n"
-            f"{title}.differential.best_npcr={diff.best_npcr:.6f}\n"
-        )
-        sections.append(text)
-    header += f"compare.system={args.system}\ncompare.trials={args.trials}\n"
-    _emit(header + "".join(sections), args.report)
+        header.append((f"{title}.rounds", key.rounds))
+        report = analysis.full_report(cipher_img, img, pairs=args.pairs, seed=seed)
+        diff = analysis.differential_test(_encrypt_fn(scheme, settings), img, cipher_img,
+                                          args.trials, seed)
+        sections.append(analysis.report_to_text(report, title=title) + analysis.key_value_text([
+            ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
+            ("best_npcr", f"{diff.best_npcr:.6f}")], prefix=f"{title}.differential."))
+    header += [("system", args.system), ("trials", args.trials)]
+    _emit("# informational comparison; third-party schemes are not implemented\n"
+          + analysis.key_value_text(header, prefix="compare.") + "".join(sections), args.report)
     return EXIT_OK
 
 
 def cmd_sbox_eval(args) -> int:
     sbox = _resolve_sbox(args.sbox)
-    to = transparency_order(sbox)
-    text = (
-        f"sbox.name={sbox.name}\n"
-        "sbox.bijective=true\n"
-        f"sbox.transparency_order={to:.6f}\n"
-        "sbox.note=lower transparency order indicates higher DPA resistance\n"
-    )
-    _emit(text, args.report)
+    _emit(analysis.key_value_text([
+        ("name", sbox.name), ("bijective", "true"),
+        ("transparency_order", f"{transparency_order(sbox):.6f}"),
+        ("note", "lower transparency order indicates higher DPA resistance")], prefix="sbox."),
+        args.report)
     return EXIT_OK
 
 
@@ -184,32 +176,23 @@ def cmd_bench(args) -> int:
         img = read_pgm(args.input)
     else:
         img = np.random.default_rng(args.seed or 0).integers(0, 256, size=(256, 256)).astype(np.uint8)
-    params = chaos.default_params(args.system)
-    sbox = _sbox_for(args.scheme, args)
+    params, rounds, sbox, system = _settings(args.scheme, args)
     enc_times, dec_times = [], []
     for _ in range(args.trials):
         t0 = time.perf_counter()
-        cipher_img, key = cipher.encrypt(args.scheme, img, params, args.rounds, sbox, system=args.system)
+        cipher_img, key = cipher.encrypt(args.scheme, img, params, rounds, sbox, system)
         t1 = time.perf_counter()
         cipher.decrypt(cipher_img, key, sbox)
         t2 = time.perf_counter()
         enc_times.append(t1 - t0)
         dec_times.append(t2 - t1)
-    text = (
-        f"bench.scheme={args.scheme}\n"
-        f"bench.image={img.shape[1]}x{img.shape[0]}\n"
-        f"bench.trials={args.trials}\n"
-        f"bench.encrypt.mean_s={np.mean(enc_times):.6f}\n"
-        f"bench.encrypt.median_s={np.median(enc_times):.6f}\n"
-        f"bench.encrypt.min_s={np.min(enc_times):.6f}\n"
-        f"bench.encrypt.max_s={np.max(enc_times):.6f}\n"
-        f"bench.decrypt.mean_s={np.mean(dec_times):.6f}\n"
-        f"bench.decrypt.median_s={np.median(dec_times):.6f}\n"
-        f"bench.decrypt.min_s={np.min(dec_times):.6f}\n"
-        f"bench.decrypt.max_s={np.max(dec_times):.6f}\n"
-        "bench.note=wall-clock times are hardware-dependent and informational only\n"
-    )
-    _emit(text, args.report)
+    pairs = [("scheme", args.scheme), ("image", f"{img.shape[1]}x{img.shape[0]}"),
+             ("trials", args.trials)]
+    for stage, times in (("encrypt", enc_times), ("decrypt", dec_times)):
+        pairs += [(f"{stage}.{stat.__name__}_s", f"{stat(times):.6f}")
+                  for stat in (np.mean, np.median, np.min, np.max)]
+    pairs.append(("note", "wall-clock times are hardware-dependent and informational only"))
+    _emit(analysis.key_value_text(pairs, prefix="bench."), args.report)
     return EXIT_OK
 
 
@@ -237,7 +220,8 @@ def _add_common(parser, *, scheme=True):
                         help="round count (defaults: IEAHF 2, GH401 4)")
     parser.add_argument("--sbox", default="aes", help=_SBOX_HELP)
     parser.add_argument("--seed", type=_int_at_least(0), default=None,
-                        help="64-bit seed; for encrypt it draws the key parameters")
+                        help="64-bit seed; draws the key parameters wherever a subcommand "
+                        "encrypts without --key, and seeds all sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -219,6 +219,11 @@ def test_sort_sequence_length_contract(mn):
     assert chaos.build_sort_sequence(orbit, mn).size == mn
 
 
+def test_sort_sequence_rejects_empty_length():
+    with pytest.raises(ValueError, match="at least 1"):
+        chaos.build_sort_sequence(np.zeros((1, 6)), 0)
+
+
 def test_sort_sequence_orbit_too_short():
     orbit = np.random.default_rng(0).random((3, 6))
     with pytest.raises(ValueError, match="too short"):

@@ -115,6 +115,32 @@ def test_side_channel_file_rejects_non_bijection():
         SideChannelFile(width=4, height=4, perms=[perm], checksums=[0])
 
 
+@pytest.mark.parametrize("img, message", [
+    (np.zeros((4, 4, 1), dtype=np.uint8), "2-D"),
+    (np.zeros((4, 4), dtype=np.uint16), "uint8"),
+], ids=["3-d", "uint16"])
+def test_encrypt_rejects_non_grayscale_images(img, message):
+    with pytest.raises(ValueError, match=message):
+        cipher.encrypt_ieahf(img, PARAMS, 2)
+
+
+@pytest.mark.parametrize("perms, checksums, message", [
+    ([np.arange(16)], [0, 0], "one permutation and checksum per round"),
+    ([], [], "one permutation and checksum per round"),
+    ([np.arange(15)], [0], "15 entries, expected 16"),
+], ids=["unequal", "empty", "wrong-size"])
+def test_side_channel_file_rejects_malformed_rounds(perms, checksums, message):
+    with pytest.raises(ValueError, match=message):
+        SideChannelFile(width=4, height=4, perms=perms, checksums=checksums)
+
+
+def test_round_count_below_one_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        cipher.encrypt_ieahf(black(4), PARAMS, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        cipher.key_space_bits(0)
+
+
 # ---------------------------------------------------------------- GH401
 
 def test_gh401_roundtrip_random():
@@ -237,6 +263,12 @@ def test_envelope_preserves_decryption(tmp_path):
     path.write_text(env.to_text(), encoding="utf-8")
     env2 = KeyEnvelope.from_text(path.read_text(encoding="utf-8"))
     assert np.array_equal(cipher.decrypt_gh401(c, env2, AES), img)
+
+
+def test_envelope_skips_blank_lines():
+    env = _envelope(4)
+    lines = env.to_text().splitlines()
+    assert KeyEnvelope.from_text("\n".join([*lines[:3], "", *lines[3:], "  "])) == env
 
 
 def test_envelope_field_order_enforced():

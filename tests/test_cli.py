@@ -1,11 +1,12 @@
 """PGM I/O and the command-line front end."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from gh401 import cipher, cli
+from gh401 import chaos, cipher, cli
 from gh401.image_io import read_pgm, write_pgm
 
 
@@ -54,6 +55,19 @@ def test_pgm_truncated_payload(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(path)
+
+
+def test_pgm_empty_file_is_truncated_header(tmp_path):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
+
+
+def test_pgm_write_rejects_1d_array(tmp_path):
+    with pytest.raises(ValueError, match="2-D"):
+        write_pgm(tmp_path / "flat.pgm", np.zeros(4, dtype=np.uint8))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- CLI
@@ -267,6 +281,16 @@ def test_cli_compare_checks_gh401_rounds_before_any_encryption(tmp_path, capsys,
     assert not (tmp_path / "r.txt").exists()
 
 
+def test_cli_compare_loads_the_sbox_before_any_encryption(tmp_path, capsys, ieahf_rounds):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    code = cli.main(["compare", src, "--sbox", str(tmp_path / "missing.txt"),
+                     "--report", str(tmp_path / "r.txt")])
+    assert code == cli.EXIT_IO
+    assert "missing.txt" in capsys.readouterr().err
+    assert ieahf_rounds == []
+    assert not (tmp_path / "r.txt").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["bench", "--trials", "0"], "--trials"),
     (["analyze", "--differential", "--trials", "-3"], "--trials"),
@@ -470,7 +494,8 @@ def test_cli_ieahf_envelope_is_validation_error(tmp_path, capsys, command):
      "indices outside [0, 4)"),
     (b"SSX1\x01\x00", "shorter than its 16-byte header"),
     (b"SSX1" + struct.pack("<III", 1, 0, 2) + bytes(4), "for a 0x2 image"),
-], ids=["index-out-of-range", "short-header", "empty-image"])
+    (b"SSX1" + struct.pack("<III", 0, 2, 2), "one permutation and checksum per round"),
+], ids=["index-out-of-range", "short-header", "empty-image", "no-rounds"])
 def test_cli_malformed_side_file_is_validation_error(tmp_path, capsys, blob, message):
     src = write_image(tmp_path / "c.pgm", np.zeros((2, 2), dtype=np.uint8))
     ss = tmp_path / "c.ss"
@@ -478,3 +503,101 @@ def test_cli_malformed_side_file_is_validation_error(tmp_path, capsys, blob, mes
     code = cli.main(["decrypt", src, "--ss", str(ss), "--out", str(tmp_path / "d.pgm")])
     assert code == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+# SHA-256 of the full stdout of each report, recorded before the report
+# renderers were rewritten to share one key=value writer.
+_PINNED_REPORTS = {
+    "analyze": (["analyze", "{img}", "--pairs", "100", "--seed", "3"],
+        "85d54690c57d0d1ddb718678ccd63a149b00b2dc59f2b199cc7c3db15e9be4ff"),
+    "analyze-differential-gh401": (["analyze", "{img}", "--differential", "--scheme", "GH401",
+                                    "--rounds", "3", "--trials", "3", "--pairs", "100",
+                                    "--seed", "3"],
+        "5b8406e94d588e46ae0a1ab3259293b1059eb2087b7082afaf68d93e1a2686ae"),
+    "analyze-differential-ieahf": (["analyze", "{img}", "--differential", "--scheme", "IEAHF",
+                                    "--trials", "3", "--pairs", "100", "--seed", "3"],
+        "b7a9e2b9fae1f6b009c1ae0fe3cd2351abab0d4bed787d2d7a6ffb9eb4e51ed3"),
+    "analyze-differential-key": (["analyze", "{img}", "--differential", "--key", "{key}",
+                                  "--trials", "2", "--pairs", "100", "--seed", "3"],
+        "07d3ac3bd0a2638a5adb868a773b686d307f229418b3ef127cdd40bc05a341d6"),
+    "compare": (["compare", "{img}", "--trials", "2", "--pairs", "100"],
+        "3cd0d71cec75baaa060adecc40a8e43409becaf47e642c80f859f2b0d77e44bb"),
+    "compare-rounds-system": (["compare", "{img}", "--trials", "2", "--pairs", "100",
+                               "--rounds", "5", "--system", "hosny6d"],
+        "94468ec7914584d204c20bf37af7b5e97e52274be213108dfa03ebb7b7297bd7"),
+    "sbox-eval": (["sbox-eval", "--sbox", "aes"],
+        "c99a103f559712fca8e489bce277e7743abf8fc9028acf155db307b636699237"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_REPORTS))
+def test_cli_report_bytes_are_pinned(tmp_path, rng, capsys, case):
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(16, 16)).astype(np.uint8))
+    key = tmp_path / "p.key"
+    argv, digest = _PINNED_REPORTS[case]
+    if "{key}" in argv:
+        assert cli.main(["encrypt", src, "--system", "hosny6d", "--seed", "9",
+                         "--out", str(tmp_path / "c.pgm"), "--key", str(key)]) == 0
+        capsys.readouterr()
+    assert cli.main([arg.format(img=src, key=key) for arg in argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cli_bench_report_keys_are_pinned(tmp_path, rng, capsys):
+    # Timings vary from run to run; the keys and their order do not.
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(16, 16)).astype(np.uint8))
+    assert cli.main(["bench", src, "--trials", "1", "--rounds", "3"]) == 0
+    keys = [line.partition("=")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["bench.scheme", "bench.image", "bench.trials",
+                    "bench.encrypt.mean_s", "bench.encrypt.median_s",
+                    "bench.encrypt.min_s", "bench.encrypt.max_s",
+                    "bench.decrypt.mean_s", "bench.decrypt.median_s",
+                    "bench.decrypt.min_s", "bench.decrypt.max_s", "bench.note"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encrypt", "{img}", "--scheme", "GH401", "--ss", "{dir}/wanted.ss"],
+     "GH401 writes its key file to --key, not --ss"),
+    (["encrypt", "{img}", "--scheme", "IEAHF", "--key", "{dir}/wanted.key"],
+     "IEAHF writes its key file to --ss, not --key"),
+    (["decrypt", "{img}", "--ss", "{dir}/a.ss", "--key", "{dir}/b.key"],
+     "decrypt takes exactly one of --key"),
+    (["analyze", "{img}", "--key", "/nonexistent"], "--key is read only by --differential"),
+], ids=["encrypt-gh401-ss", "encrypt-ieahf-key", "decrypt-ss-and-key", "analyze-key"])
+def test_cli_rejects_a_key_file_flag_it_would_ignore(tmp_path, capsys, monkeypatch, argv, message):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    (tmp_path / "a.ss").write_bytes(b"SSX1")
+    (tmp_path / "b.key").write_text("scheme=GH401\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    reads = []
+    monkeypatch.setattr(cli, "read_pgm", lambda path: reads.append(path))
+    code = cli.main([arg.format(img=src, dir=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert message in err
+    assert "Traceback" not in err
+    assert reads == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_cli_bench_draws_the_key_from_seed(monkeypatch, capsys):
+    # With no input image, bench times a seeded random 256x256 image.
+    seen = []
+    encrypt = cipher.encrypt_gh401
+
+    def spy(img, params, n, sbox, system):
+        seen.append((params, system))
+        return encrypt(img, params, n, sbox, system=system)
+
+    monkeypatch.setattr(cipher, "encrypt_gh401", spy)
+    assert cli.main(["bench", "--scheme", "GH401", "--system", "hosny6d", "--seed", "7",
+                     "--trials", "1"]) == 0
+    assert seen == [(chaos.draw_params("hosny6d", 7), "hosny6d")]
+    assert "bench.image=256x256\n" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_non_integer_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--trials", "x"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "argument --trials: expected an integer, got 'x'" in capsys.readouterr().err

@@ -76,6 +76,11 @@ def test_odd_dimensions_rejected():
         inverse_diffuse(np.zeros((5, 5), dtype=np.uint8), 0)
 
 
+def test_1d_array_rejected():
+    with pytest.raises(ValueError, match="2-D"):
+        diffuse(np.zeros(4, dtype=np.uint8), 0)
+
+
 def test_roundtrip_property_both_schemes():
     rng = np.random.default_rng(8)
     for _ in range(1000):
