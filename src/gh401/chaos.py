@@ -103,22 +103,25 @@ def _frac(v: float) -> float:
     return v - math.floor(v)
 
 
-def derive_initial_conditions(pixels: np.ndarray) -> InitialConditions:
-    """Derive the orbit seeds from image content.
+def initial_conditions_from_sum(total: int, mn: int) -> InitialConditions:
+    """The orbit seeds of any image of ``mn`` pixels summing to ``total``.
 
-    x1 = (sum of all pixels + M*N) / (2^23 + M*N), with the sums done in
-    exact integer arithmetic before the single float division.  Each
-    further seed is x_i = frac(x_{i-1} * 1e6).
+    x1 = (total + mn) / (2^23 + mn), with the sums done in exact integer
+    arithmetic before the single float division.  Each further seed is
+    x_i = frac(x_{i-1} * 1e6).
     """
-    pixels = np.asarray(pixels)
-    if pixels.size == 0:
-        raise ValueError("cannot derive initial conditions from an empty image")
-    total = int(pixels.sum(dtype=np.int64))
-    mn = int(pixels.size)
     xs = [(total + mn) / (2**23 + mn)]
     for _ in range(5):
         xs.append(_frac(xs[-1] * 1e6))
     return InitialConditions(*xs)
+
+
+def derive_initial_conditions(pixels: np.ndarray) -> InitialConditions:
+    """Derive the orbit seeds from an image: they depend on its pixel sum and size only."""
+    pixels = np.asarray(pixels)
+    if pixels.size == 0:
+        raise ValueError("cannot derive initial conditions from an empty image")
+    return initial_conditions_from_sum(int(pixels.sum(dtype=np.int64)), int(pixels.size))
 
 
 class ReferenceTestMap:

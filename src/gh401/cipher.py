@@ -46,6 +46,7 @@ from gh401.chaos import (
     derive_whitening_key,
     generate_orbit,
     get_system,
+    initial_conditions_from_sum,
     rows_for_sequence,
 )
 from gh401.diffuse import diffuse, inverse_diffuse
@@ -246,8 +247,15 @@ def diffuse_gh401(img: np.ndarray) -> np.ndarray:
     return diffuse(img, 1)
 
 
-def _round_permutation(orbit_rows: np.ndarray, mn: int) -> np.ndarray:
-    return argsort_ascending(build_sort_sequence(orbit_rows, mn))
+def _orbit(system: str, ic: InitialConditions, params: SystemParams, rounds: int,
+           mn: int) -> np.ndarray:
+    """The orbit that keys ``rounds`` rounds of an ``mn``-pixel image."""
+    return generate_orbit(get_system(system), ic, params, rounds * rows_for_sequence(mn))
+
+
+def _round_permutation(orbit: np.ndarray, k: int, mn: int) -> np.ndarray:
+    """Round k's permutation (k from 1), sorted from the orbit's k-th slice of rows."""
+    return argsort_ascending(build_sort_sequence(orbit[(k - 1) * rows_for_sequence(mn):], mn))
 
 
 def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
@@ -262,16 +270,12 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     img = _validate_image(img)
     if n < 1:
         raise ValueError("round count must be at least 1")
-    sys_ = get_system(system)
     h, w = img.shape
-    mn = h * w
-    rows = rows_for_sequence(mn)
     cur = img
     perms, checksums = [], []
     for _ in range(n):
-        ic = derive_initial_conditions(cur)
-        orbit = generate_orbit(sys_, ic, params, rows)
-        s = _round_permutation(orbit, mn)
+        orbit = _orbit(system, derive_initial_conditions(cur), params, 1, cur.size)
+        s = _round_permutation(orbit, 1, cur.size)
         shuffled = permute_ieahf(cur.reshape(-1), s)
         cur = diffuse_ieahf(shuffled.reshape(h, w))
         perms.append(s)
@@ -315,22 +319,18 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
     img = _validate_image(img)
     check_gh401_rounds(n)
     _require_sbox(sbox)
-    sys_ = get_system(system)
     h, w = img.shape
-    mn = h * w
-    rows = rows_for_sequence(mn)
     ic = derive_initial_conditions(img)
-    orbit = generate_orbit(sys_, ic, params, n * rows)
+    orbit = _orbit(system, ic, params, n, img.size)
     whitening = derive_whitening_key(orbit)
-    mask = _whitening_mask(whitening, mn)
+    mask = _whitening_mask(whitening, img.size)
     cur = img.reshape(-1)
     for k in range(1, n + 1):
-        s = _round_permutation(orbit[(k - 1) * rows:k * rows], mn)
         cur = cur ^ mask
-        cur = permute_gh401(cur, s, k)
+        cur = permute_gh401(cur, _round_permutation(orbit, k, img.size), k)
         cur = diffuse_gh401(cur.reshape(h, w)).reshape(-1)
         cur = substitute(cur, sbox)
-    env = KeyEnvelope(system=sys_.name, ic=ic, params=params, n=n,
+    env = KeyEnvelope(system=system, ic=ic, params=params, n=n,
                       whitening=whitening, sbox_name=sbox.name)
     return cur.reshape(h, w), env
 
@@ -340,18 +340,14 @@ def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarr
     cipher = _validate_image(cipher)
     _require_sbox(sbox)
     env.check_sbox(sbox)
-    sys_ = get_system(env.system)
     h, w = cipher.shape
-    mn = h * w
-    rows = rows_for_sequence(mn)
-    orbit = generate_orbit(sys_, env.ic, env.params, env.n * rows)
-    mask = _whitening_mask(env.whitening, mn)
+    orbit = _orbit(env.system, env.ic, env.params, env.n, cipher.size)
+    mask = _whitening_mask(env.whitening, cipher.size)
     cur = cipher.reshape(-1)
     for k in range(env.n, 0, -1):
-        s = _round_permutation(orbit[(k - 1) * rows:k * rows], mn)
         cur = substitute(cur, sbox, inverse=True)
         cur = inverse_diffuse(cur.reshape(h, w), 1).reshape(-1)
-        cur = invert_permute(cur, s, k)
+        cur = invert_permute(cur, _round_permutation(orbit, k, cipher.size), k)
         cur = cur ^ mask
     return cur.reshape(h, w)
 
@@ -401,9 +397,9 @@ def _nominal_envelope_bytes() -> int:
     # Canonical GH401 envelope: seeds chained from the all-zero 256x256
     # image, the hosny6d default parameter set, default rounds, bundled
     # strong S-box.
-    ic = derive_initial_conditions(np.zeros((256, 256), dtype=np.uint8))
-    env = KeyEnvelope(system="hosny6d", ic=ic, params=default_params("hosny6d"),
-                      n=DEFAULT_ROUNDS[SCHEME_GH401], whitening=bytes(16), sbox_name="aes")
+    env = KeyEnvelope(system="hosny6d", ic=initial_conditions_from_sum(0, 256 * 256),
+                      params=default_params("hosny6d"), n=DEFAULT_ROUNDS[SCHEME_GH401],
+                      whitening=bytes(16), sbox_name="aes")
     return len(env.to_text().encode("utf-8"))
 
 

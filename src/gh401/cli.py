@@ -31,6 +31,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
+DEFAULT_SBOX = "aes"
 _SBOX_HELP = f"bundled S-box name ({', '.join(BUNDLED_SBOXES)}) or a .txt/.bin table file"
 
 
@@ -41,10 +42,16 @@ def _emit(text: str, report_path) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_sbox(value: str):
+def _resolve_sbox(value):
+    value = DEFAULT_SBOX if value is None else value
     if value in BUNDLED_SBOXES:
         return bundled_sbox(value)
     return load_sbox(value)
+
+
+def _reject_unread_sbox(args, reads_sbox: bool) -> None:
+    if args.sbox is not None and not reads_sbox:
+        raise ValueError("--sbox is read only by GH401 runs; this run has no S-box stage")
 
 
 def _settings(scheme: str, args):
@@ -73,6 +80,7 @@ def cmd_encrypt(args) -> int:
     flag, other = ("ss", "key") if args.scheme == SCHEME_IEAHF else ("key", "ss")
     if getattr(args, other):
         raise ValueError(f"{args.scheme} writes its key file to --{flag}, not --{other}")
+    _reject_unread_sbox(args, args.scheme == SCHEME_GH401)
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".enc.pgm")
     cipher_img, key = cipher.encrypt(args.scheme, img, *_settings(args.scheme, args))
@@ -92,6 +100,7 @@ def cmd_decrypt(args) -> int:
     if bool(args.key) == bool(args.ss):
         raise ValueError("decrypt takes exactly one of --key (GH401 envelope) "
                          "and --ss (IEAHF side-channel file)")
+    _reject_unread_sbox(args, bool(args.key))
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".dec.pgm")
     if args.ss:
@@ -111,18 +120,19 @@ def _encrypt_fn(scheme, settings):
 def cmd_analyze(args) -> int:
     if args.key and not args.differential:
         raise ValueError("--key is read only by --differential")
+    _reject_unread_sbox(args, args.differential and (bool(args.key) or args.scheme == SCHEME_GH401))
+    if args.key:
+        env = _read_envelope(args.key)
+        sbox = _resolve_sbox(args.sbox)
+        env.check_sbox(sbox)
+        scheme, settings = env.scheme, (env.params, env.n, sbox, env.system)
+    elif args.differential:
+        scheme, settings = args.scheme, _settings(args.scheme, args)
     img = read_pgm(args.input)
     plain = read_pgm(args.plain) if args.plain else None
     report = analysis.full_report(img, plain, pairs=args.pairs, seed=args.seed or 0)
     text = analysis.report_to_text(report, title="image")
     if args.differential:
-        if args.key:
-            env = _read_envelope(args.key)
-            sbox = _resolve_sbox(args.sbox)
-            env.check_sbox(sbox)
-            scheme, settings = env.scheme, (env.params, env.n, sbox, env.system)
-        else:
-            scheme, settings = args.scheme, _settings(args.scheme, args)
         encrypt_fn = _encrypt_fn(scheme, settings)
         diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img), args.trials,
                                           args.seed or 0)
@@ -172,6 +182,7 @@ def cmd_sbox_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     """Wall-clock timing; hardware-dependent, informational only."""
+    _reject_unread_sbox(args, args.scheme == SCHEME_GH401)
     if args.input:
         img = read_pgm(args.input)
     else:
@@ -218,7 +229,7 @@ def _add_common(parser, *, scheme=True):
                         help="dynamical system id (default %(default)s)")
     parser.add_argument("--rounds", type=_int_at_least(1), default=None,
                         help="round count (defaults: IEAHF 2, GH401 4)")
-    parser.add_argument("--sbox", default="aes", help=_SBOX_HELP)
+    parser.add_argument("--sbox", help=_SBOX_HELP + f"; GH401 only (default {DEFAULT_SBOX})")
     parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="64-bit seed; draws the key parameters wherever a subcommand "
                         "encrypts without --key, and seeds all sampling")
@@ -240,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decrypt", help="decrypt a PGM image")
     p.add_argument("input")
-    p.add_argument("--sbox", default="aes", help=_SBOX_HELP + "; must be the envelope's")
+    p.add_argument("--sbox", help=_SBOX_HELP + f"; --key only, must be the envelope's "
+                   f"(default {DEFAULT_SBOX})")
     p.add_argument("--out", help="plaintext PGM path")
     p.add_argument("--key", help="key envelope path (GH401)")
     p.add_argument("--ss", help="side-channel file path (IEAHF)")

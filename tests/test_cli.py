@@ -555,6 +555,9 @@ def test_cli_bench_report_keys_are_pinned(tmp_path, rng, capsys):
                     "bench.decrypt.min_s", "bench.decrypt.max_s", "bench.note"]
 
 
+_SBOX_UNREAD = "--sbox is read only by GH401 runs"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["encrypt", "{img}", "--scheme", "GH401", "--ss", "{dir}/wanted.ss"],
      "GH401 writes its key file to --key, not --ss"),
@@ -563,7 +566,15 @@ def test_cli_bench_report_keys_are_pinned(tmp_path, rng, capsys):
     (["decrypt", "{img}", "--ss", "{dir}/a.ss", "--key", "{dir}/b.key"],
      "decrypt takes exactly one of --key"),
     (["analyze", "{img}", "--key", "/nonexistent"], "--key is read only by --differential"),
-], ids=["encrypt-gh401-ss", "encrypt-ieahf-key", "decrypt-ss-and-key", "analyze-key"])
+    (["encrypt", "{img}", "--scheme", "IEAHF", "--sbox", "/nonexistent.txt"], _SBOX_UNREAD),
+    (["decrypt", "{img}", "--ss", "{dir}/a.ss", "--sbox", "/nonexistent.txt"], _SBOX_UNREAD),
+    (["analyze", "{img}", "--sbox", "/nonexistent.txt"], _SBOX_UNREAD),
+    (["analyze", "{img}", "--differential", "--scheme", "IEAHF", "--sbox", "/nonexistent.txt"],
+     _SBOX_UNREAD),
+    (["bench", "{img}", "--scheme", "IEAHF", "--sbox", "/nonexistent.txt"], _SBOX_UNREAD),
+], ids=["encrypt-gh401-ss", "encrypt-ieahf-key", "decrypt-ss-and-key", "analyze-key",
+        "encrypt-ieahf-sbox", "decrypt-ss-sbox", "analyze-sbox", "analyze-differential-ieahf-sbox",
+        "bench-ieahf-sbox"])
 def test_cli_rejects_a_key_file_flag_it_would_ignore(tmp_path, capsys, monkeypatch, argv, message):
     src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
     (tmp_path / "a.ss").write_bytes(b"SSX1")
@@ -601,3 +612,19 @@ def test_cli_rejects_a_non_integer_count(capsys):
         cli.main(["bench", "--trials", "x"])
     assert exc.value.code == cli.EXIT_VALIDATION
     assert "argument --trials: expected an integer, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--key", "{dir}/missing.key"], cli.EXIT_IO),
+    (["--key", "{dir}/p.key", "--sbox", "identity"], cli.EXIT_MISMATCH),
+], ids=["missing-key", "wrong-sbox"])
+def test_cli_analyze_reads_its_key_before_the_report(tmp_path, monkeypatch, flags, code):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    assert cli.main(["encrypt", src, "--out", str(tmp_path / "c.pgm"),
+                     "--key", str(tmp_path / "p.key")]) == 0
+    reports = []
+    monkeypatch.setattr(cli.analysis, "full_report", lambda *a, **k: reports.append(a))
+    argv = ["analyze", src, "--differential", "--plain", src,
+            *(flag.format(dir=tmp_path) for flag in flags)]
+    assert cli.main(argv) == code
+    assert reports == []
