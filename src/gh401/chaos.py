@@ -20,9 +20,11 @@ There are exactly two systems, each a class with a ``name``, its
     independent of any external parameter tables.  The six system
     parameters are accepted but do not enter the update rule.
 
-All arithmetic is IEEE-754 binary64.  Every function is a pure function of
-its arguments, so results are bitwise reproducible across runs and safe to
-call from multiple threads.
+All arithmetic is IEEE-754 binary64.  Every fractional part frac(x) is
+taken as ``x % 1.0`` on a finite x >= 0, an exact fmod that is bit for bit
+x - floor(x).  Every function is a pure function of its arguments, so
+results are bitwise reproducible across runs and safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ class InitialConditions(_SixReals):
     x6: float
 
 
-def _frac(v: float) -> float:
-    return v - math.floor(v)
-
-
 def initial_conditions_from_sum(total: int, mn: int) -> InitialConditions:
     """The orbit seeds of any image of ``mn`` pixels summing to ``total``.
 
@@ -112,7 +110,7 @@ def initial_conditions_from_sum(total: int, mn: int) -> InitialConditions:
     """
     xs = [(total + mn) / (2**23 + mn)]
     for _ in range(5):
-        xs.append(_frac(xs[-1] * 1e6))
+        xs.append(xs[-1] * 1e6 % 1.0)
     return InitialConditions(*xs)
 
 
@@ -145,11 +143,8 @@ class ReferenceTestMap:
 
     def iterate(self, state, params: SystemParams, steps: int) -> np.ndarray:
         r1, r2, r3, r4, r5, r6 = self.RHO
-        # Wrap once on entry.  After that every n is finite and >= 0 (a sum
-        # of products of non-negative factors), so n % 1.0, an exact fmod
-        # giving +0.0 at integers, is bit for bit n - floor(n): the
-        # fractional part, already in [0, 1), which needs no second wrap.
-        y1, y2, y3, y4, y5, y6 = (_frac(abs(v)) for v in state)
+        # Wrap once on entry; every later n is >= 0, so n % 1.0 is frac(n).
+        y1, y2, y3, y4, y5, y6 = (abs(v) % 1.0 for v in state)
         rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
         extend = rows.extend
         for _ in range(steps):
@@ -349,6 +344,5 @@ def derive_whitening_key(orbit: np.ndarray) -> bytes:
     values = orbit[:_WHITENING_ROWS, [1, 3, 5]].ravel()
     out = bytearray()
     for v in values[:WHITENING_KEY_BYTES]:
-        f = _frac(abs(float(v)))
-        out.append(int(f * 2.0**56) % 256)
+        out.append(int(abs(float(v)) % 1.0 * 2.0**56) % 256)
     return bytes(out)

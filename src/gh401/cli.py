@@ -54,21 +54,35 @@ def _reject_unread_sbox(args, reads_sbox: bool) -> None:
         raise ValueError("--sbox is read only by GH401 runs; this run has no S-box stage")
 
 
+def _system(args) -> str:
+    return cipher.DEFAULT_SYSTEM if args.system is None else args.system
+
+
 def _settings(scheme: str, args):
     """The ``(params, rounds, sbox, system)`` that ``cipher.encrypt`` takes after the image.
 
     ``--seed`` draws the parameters, else the system's defaults are used.
     IEAHF has no S-box stage, so only GH401 loads ``--sbox``.
     """
-    params = (chaos.default_params(args.system) if args.seed is None
-              else chaos.draw_params(args.system, args.seed))
+    system = _system(args)
+    params = (chaos.default_params(system) if args.seed is None
+              else chaos.draw_params(system, args.seed))
     sbox = _resolve_sbox(args.sbox) if scheme == SCHEME_GH401 else None
-    return params, args.rounds, sbox, args.system
+    return params, args.rounds, sbox, system
 
 
 def _read_envelope(path) -> cipher.KeyEnvelope:
     with open(path, "r", encoding="utf-8") as fh:
         return cipher.KeyEnvelope.from_text(fh.read())
+
+
+def _check_envelope_flags(args, env: cipher.KeyEnvelope) -> None:
+    """Raise :class:`cipher.EnvelopeMismatchError` for a given flag that disagrees with ``env``."""
+    for flag, given, stored in (("--scheme", args.scheme, env.scheme),
+                                ("--system", args.system, env.system),
+                                ("--rounds", args.rounds, env.n)):
+        if given is not None and given != stored:
+            raise cipher.EnvelopeMismatchError(f"envelope was made with {flag} {stored}, got {given}")
 
 
 def _default_out(input_path: str, suffix: str) -> str:
@@ -123,6 +137,7 @@ def cmd_analyze(args) -> int:
     _reject_unread_sbox(args, args.differential and (bool(args.key) or args.scheme == SCHEME_GH401))
     if args.key:
         env = _read_envelope(args.key)
+        _check_envelope_flags(args, env)
         sbox = _resolve_sbox(args.sbox)
         env.check_sbox(sbox)
         scheme, settings = env.scheme, (env.params, env.n, sbox, env.system)
@@ -164,7 +179,7 @@ def cmd_compare(args) -> int:
         sections.append(analysis.report_to_text(report, title=title) + analysis.key_value_text([
             ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
             ("best_npcr", f"{diff.best_npcr:.6f}")], prefix=f"{title}.differential."))
-    header += [("system", args.system), ("trials", args.trials)]
+    header += [("system", _system(args)), ("trials", args.trials)]
     _emit("# informational comparison; third-party schemes are not implemented\n"
           + analysis.key_value_text(header, prefix="compare.") + "".join(sections), args.report)
     return EXIT_OK
@@ -225,8 +240,7 @@ def _add_common(parser, *, scheme=True):
         parser.add_argument("--scheme", choices=(SCHEME_IEAHF, SCHEME_GH401),
                             default=SCHEME_GH401, help="cipher scheme (default GH401)")
     parser.add_argument("--system", choices=tuple(chaos.list_systems()),
-                        default=cipher.DEFAULT_SYSTEM,
-                        help="dynamical system id (default %(default)s)")
+                        help=f"dynamical system id (default {cipher.DEFAULT_SYSTEM})")
     parser.add_argument("--rounds", type=_int_at_least(1), default=None,
                         help="round count (defaults: IEAHF 2, GH401 4)")
     parser.add_argument("--sbox", help=_SBOX_HELP + f"; GH401 only (default {DEFAULT_SBOX})")
@@ -269,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=100,
                    help="differential trials (default %(default)s)")
     p.add_argument("--key", help="GH401 key envelope for --differential; it sets the scheme, "
-                   "system, rounds and parameters, and --sbox must be the one it names")
+                   "system, rounds and parameters, which --scheme, --system and --rounds "
+                   "must agree with, and --sbox must be the one it names")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 

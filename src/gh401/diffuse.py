@@ -4,10 +4,11 @@ The diffusion matrix is the tenth power of Q = [[1,1],[1,0]]:
 
     A = Q^10 mod 256 = [[89, 55], [55, 34]]
 
-det A = 89*34 - 55*55 = -1, so det A mod 256 = 255 and A is invertible
-mod 256 with A^-1 = [[34, 201], [201, 89]].  The image is tiled into
-non-overlapping 2x2 blocks, row-major from the top-left, and every block B
-is replaced by (B @ A) mod 256.
+det A = 89*34 - 55*55 = 3026 - 3025 = +1: det Q = -1 and the power is
+even.  So A is invertible mod 256 and its inverse is its adjugate,
+A^-1 = [[34, -55], [-55, 89]] = [[34, 201], [201, 89]] mod 256.  The
+image is tiled into non-overlapping 2x2 blocks, row-major from the
+top-left, and every block B is replaced by (B @ A) mod 256.
 
 A bias b is added to every element before and after the matrix multiply:
 ((B + b) @ A + b) mod 256.  With bias 0 the map is linear mod 256, which

@@ -43,6 +43,8 @@ def read_pgm(path) -> np.ndarray:
         tok, pos = _next_token(data, pos)
         fields.append(int(tok))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM header gives width {width} and height {height}; both must be at least 1")
     if maxval != 255:
         raise ValueError(f"only 8-bit images (maxval 255) are supported, got maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

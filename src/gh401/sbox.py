@@ -15,8 +15,10 @@ result lies in [0, m]; lower values are reported as more DPA-resistant.
 
 Two tables ship with the package: the identity (for pipeline isolation
 tests) and the well-documented strong "aes" table stored under
-``data/aes_sbox.txt``.  Externally constructed tables, such as
-genetic-algorithm optimized ones, are accepted through :func:`load_sbox`.
+``data/aes_sbox.txt``; :func:`bundled_sbox` returns them by name.
+Externally constructed tables, such as genetic-algorithm optimized ones,
+come in one of two ways: an in-memory table goes through :class:`SBox8`,
+a ``.txt`` or ``.bin`` table file through :func:`load_sbox`.
 """
 
 from __future__ import annotations
@@ -53,25 +55,23 @@ class SBox8:
         return f"SBox8(name={self.name!r})"
 
 
-def load_sbox(source, name: str | None = None) -> SBox8:
-    """Build a validated S-box from bytes, a sequence, or a file path.
+def load_sbox(path) -> SBox8:
+    """Read a validated S-box from a table file, named after the file's stem.
 
-    Paths are decoded by extension: ``.txt`` holds 256 whitespace-separated
-    decimal byte values, ``.bin`` holds 256 raw bytes.
+    ``.txt`` holds 256 whitespace-separated decimal byte values, ``.bin``
+    holds 256 raw bytes.
     """
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        stem = os.path.splitext(os.path.basename(path))[0]
-        if path.endswith(".txt"):
-            with open(path, "r", encoding="utf-8") as fh:
-                values = [int(tok) for tok in fh.read().split()]
-        elif path.endswith(".bin"):
-            with open(path, "rb") as fh:
-                values = list(fh.read())
-        else:
-            raise ValueError(f"unsupported S-box file extension: {path!r} (use .txt or .bin)")
-        return SBox8(values, name=name or stem)
-    return SBox8(source, name=name or "custom")
+    path = os.fsdecode(path)
+    stem = os.path.splitext(os.path.basename(path))[0]
+    if path.endswith(".txt"):
+        with open(path, "r", encoding="utf-8") as fh:
+            values = [int(tok) for tok in fh.read().split()]
+    elif path.endswith(".bin"):
+        with open(path, "rb") as fh:
+            values = list(fh.read())
+    else:
+        raise ValueError(f"unsupported S-box file extension: {path!r} (use .txt or .bin)")
+    return SBox8(values, name=stem)
 
 
 BUNDLED_SBOXES = ("aes", "identity")

@@ -18,6 +18,7 @@ from gh401.analysis import (
 )
 from gh401.chaos import SystemParams
 from gh401.permute import permute
+from gh401.sbox import bundled_sbox
 
 PARAMS = SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
 
@@ -157,6 +158,25 @@ def test_differential_best_tracks_max_npcr():
     res = differential_test(lambda im: im, img, img, trials=4, seed=0)
     assert res.best_npcr == res.mean_npcr == pytest.approx(100.0 / 64)
     assert res.trials == 4
+
+
+def test_white_differential_runs_on_two_keystreams(monkeypatch):
+    # +1 wraps a 255 pixel to 0, so every trial plaintext of a white image
+    # has the pixel sum 255*MN - 255 and the same seeds: the base encryption
+    # and the trials share two distinct orbits between them.
+    seeds = []
+    generate_orbit = cipher.generate_orbit
+
+    def spy(system, ic, params, length):
+        seeds.append(ic.as_tuple())
+        return generate_orbit(system, ic, params, length)
+
+    monkeypatch.setattr(cipher, "generate_orbit", spy)
+    white = np.full((16, 16), 255, dtype=np.uint8)
+    enc = lambda im: cipher.encrypt_gh401(im, PARAMS, 4, bundled_sbox("aes"))[0]
+    differential_test(enc, white, enc(white), trials=10, seed=0)
+    assert len(seeds) == 11
+    assert len(set(seeds)) == 2
 
 
 def test_full_report_fields_and_zero_variance_flag():

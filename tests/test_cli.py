@@ -64,6 +64,26 @@ def test_pgm_empty_file_is_truncated_header(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P5\n-8 -8\n255\n", "width -8 and height -8"),
+    (b"P5\n0 4\n255\n", "width 0 and height 4"),
+], ids=["negative", "zero"])
+def test_pgm_rejects_non_positive_dimensions(tmp_path, header, message):
+    path = tmp_path / "flat.pgm"
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
+
+
+def test_cli_analyze_rejects_a_negative_pgm_dimension(tmp_path, capsys):
+    path = tmp_path / "neg.pgm"
+    path.write_bytes(b"P5\n-8 -8\n255\n" + bytes(64))
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "width -8 and height -8" in err
+    assert "Traceback" not in err
+
+
 def test_pgm_write_rejects_1d_array(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_pgm(tmp_path / "flat.pgm", np.zeros(4, dtype=np.uint8))
@@ -357,6 +377,26 @@ def test_cli_analyze_key_still_takes_seed(tmp_path):
     lines = report.read_text().splitlines()
     assert "image.seed=5" in lines
     assert "differential.seed=5" in lines
+
+
+@pytest.mark.parametrize("flag, value, stored", [
+    ("--scheme", "IEAHF", "GH401"), ("--system", "reftestmap", "hosny6d"), ("--rounds", "3", "5"),
+], ids=["scheme", "system", "rounds"])
+def test_cli_analyze_key_rejects_a_flag_the_envelope_contradicts(tmp_path, capsys, monkeypatch,
+                                                                 flag, value, stored):
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    key = tmp_path / "c.key"
+    assert cli.main(["encrypt", src, "--system", "hosny6d", "--rounds", "5", "--seed", "9",
+                     "--out", str(tmp_path / "c.pgm"), "--key", str(key)]) == 0
+    capsys.readouterr()
+    reads = []
+    monkeypatch.setattr(cli, "read_pgm", lambda path: reads.append(path))
+    code = cli.main(["analyze", src, "--differential", "--key", str(key), flag, value])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_MISMATCH
+    assert f"envelope was made with {flag} {stored}, got {value}" in err
+    assert "Traceback" not in err
+    assert reads == []
 
 
 def test_cli_ieahf_decrypt_checks_each_permutation_once(tmp_path, rng, monkeypatch):

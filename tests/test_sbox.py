@@ -22,6 +22,13 @@ def test_identity_table_is_valid():
     assert np.array_equal(s.inverse, np.arange(256))
 
 
+@pytest.mark.parametrize("table", [bytes(range(256)), bytearray(range(256))], ids=["bytes", "bytearray"])
+def test_sbox8_takes_a_byte_string_as_a_table(table):
+    s = SBox8(table)
+    assert s.name == "custom"
+    assert np.array_equal(s.table, np.arange(256))
+
+
 def test_duplicate_entries_rejected_naming_first():
     table = list(range(256))
     table[0] = 7
@@ -83,16 +90,9 @@ def test_load_sbox_text_and_binary(tmp_path):
 
     raw = tmp_path / "box.bin"
     raw.write_bytes(bytes(range(256)))
-    s2 = load_sbox(raw, name="rawbox")
-    assert s2.name == "rawbox"
+    s2 = load_sbox(raw)
+    assert s2.name == "box"
     assert np.array_equal(s2.table, np.arange(256))
-
-
-@pytest.mark.parametrize("table", [bytes(range(256)), bytearray(range(256))])
-def test_load_sbox_bytes_is_a_table_not_a_path(table):
-    s = load_sbox(table)
-    assert s.name == "custom"
-    assert np.array_equal(s.table, np.arange(256))
 
 
 def test_load_sbox_length_error(tmp_path):
