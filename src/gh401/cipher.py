@@ -98,46 +98,46 @@ def _crc32(img: np.ndarray) -> int:
 
 @dataclass
 class SideChannelFile:
-    """Per-round sorting vectors plus per-round image checksums.
+    """The SSX1 side file: per-round sorting vectors and image checksums in one table.
 
-    Binary layout: magic ``SSX1``, then rounds, width, height as 32-bit
-    little-endian, then a rounds x (width*height + 1) table of 32-bit
-    little-endian values: each row holds one round's 0-based indices
-    followed by the CRC32 of the post-round image.
-    Construction checks that every round holds a bijection on
-    [0, width*height), so serialization and decryption need not.
+    ``table`` holds one int64 row of width*height + 1 values per round:
+    the round's 0-based indices, then the CRC32 of the post-round image.
+    On disk: magic ``SSX1``, then rounds, width, height and the table,
+    all as 32-bit little-endian values.  Construction checks that every
+    round holds a bijection on [0, width*height) and every checksum fits
+    32 bits, so serialization and decryption need not.
     """
 
     width: int
     height: int
-    perms: list
-    checksums: list
+    table: np.ndarray
 
     def __post_init__(self):
-        if len(self.perms) != len(self.checksums) or not self.perms:
+        table = self.table
+        if not isinstance(table, np.ndarray) or table.dtype != np.int64 or table.ndim != 2:
+            raise ValueError("side-channel table must be a 2-D int64 array")
+        if not len(table):
             raise ValueError("side-channel file must hold one permutation and checksum per round")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"side-channel file is for a {self.width}x{self.height} image")
         mn = self.width * self.height
-        for k, perm in enumerate(self.perms):
-            if perm.size != mn:
-                raise ValueError(f"round {k + 1} permutation has {perm.size} entries, expected {mn}")
+        if table.shape[1] != mn + 1:
+            raise ValueError(f"round permutations have {table.shape[1] - 1} entries, expected {mn}")
+        if table[:, -1].min() < 0 or table[:, -1].max() > 0xFFFFFFFF:
+            raise ValueError("side-channel checksums must lie in [0, 2**32)")
+        for k, perm in enumerate(table[:, :-1], start=1):
             if perm.min() < 0 or perm.max() >= mn:
-                raise ValueError(f"round {k + 1} permutation has indices outside [0, {mn})")
-            counts = np.bincount(perm, minlength=mn)
-            if counts.max() != 1:
-                raise ValueError(f"round {k + 1} permutation is not a bijection")
+                raise ValueError(f"round {k} permutation has indices outside [0, {mn})")
+            if np.bincount(perm, minlength=mn).max() != 1:
+                raise ValueError(f"round {k} permutation is not a bijection")
 
     @property
     def rounds(self) -> int:
-        return len(self.perms)
+        return len(self.table)
 
     def to_bytes(self) -> bytes:
-        table = np.empty((self.rounds, self.width * self.height + 1), dtype="<u4")
-        table[:, :-1] = self.perms
-        table[:, -1] = self.checksums
         header = SS_MAGIC + struct.pack("<III", self.rounds, self.width, self.height)
-        return header + table.tobytes()
+        return header + self.table.astype("<u4").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
@@ -151,8 +151,7 @@ class SideChannelFile:
         if len(data) != expected:
             raise ValueError(f"side-channel file is {len(data)} bytes, expected {expected}")
         table = np.frombuffer(data, dtype="<u4", offset=16).reshape(rounds, mn + 1)
-        return cls(width=width, height=height, perms=list(table[:, :-1].astype(np.int64)),
-                   checksums=table[:, -1].tolist())
+        return cls(width=width, height=height, table=table.astype(np.int64))
 
 
 @dataclass
@@ -272,16 +271,14 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
         raise ValueError("round count must be at least 1")
     h, w = img.shape
     cur = img
-    perms, checksums = [], []
-    for _ in range(n):
+    table = np.empty((n, img.size + 1), dtype=np.int64)
+    for row in table:
         orbit = _orbit(system, derive_initial_conditions(cur), params, 1, cur.size)
-        s = _round_permutation(orbit, 1, cur.size)
-        shuffled = permute_ieahf(cur.reshape(-1), s)
-        cur = diffuse_ieahf(shuffled.reshape(h, w))
-        perms.append(s)
-        checksums.append(_crc32(cur))
-    side = SideChannelFile(width=w, height=h, perms=perms, checksums=checksums)
-    return cur, side
+        # no name keeps the sorted indices once they are copied into the table
+        row[:-1] = _round_permutation(orbit, 1, cur.size)
+        cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1]).reshape(h, w))
+        row[-1] = _crc32(cur)
+    return cur, SideChannelFile(width=w, height=h, table=table)
 
 
 def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
@@ -293,11 +290,11 @@ def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
             f"side-channel file is for {side.width}x{side.height}, image is {w}x{h}")
     cur = cipher
     for k in reversed(range(side.rounds)):
-        if _crc32(cur) != side.checksums[k]:
+        if _crc32(cur) != side.table[k, -1]:
             raise ChecksumMismatchError(
                 f"round {k + 1} checksum mismatch: wrong side-channel file for this ciphertext")
         undiffused = inverse_diffuse(cur, 0)
-        restored = invert_permute(undiffused.reshape(-1), side.perms[k], 0)
+        restored = invert_permute(undiffused.reshape(-1), side.table[k, :-1], 0)
         cur = restored.reshape(h, w)
     return cur
 

@@ -31,7 +31,11 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
+DEFAULT_SCHEME = SCHEME_GH401
 DEFAULT_SBOX = "aes"
+DEFAULT_TRIALS = 100
+_ROUNDS_HELP = "round count (defaults: {})".format(
+    ", ".join(f"{scheme} {n}" for scheme, n in cipher.DEFAULT_ROUNDS.items()))
 _SBOX_HELP = f"bundled S-box name ({', '.join(BUNDLED_SBOXES)}) or a .txt/.bin table file"
 
 
@@ -52,6 +56,10 @@ def _resolve_sbox(value):
 def _reject_unread_sbox(args, reads_sbox: bool) -> None:
     if args.sbox is not None and not reads_sbox:
         raise ValueError("--sbox is read only by GH401 runs; this run has no S-box stage")
+
+
+def _scheme(args) -> str:
+    return DEFAULT_SCHEME if args.scheme is None else args.scheme
 
 
 def _system(args) -> str:
@@ -91,15 +99,16 @@ def _default_out(input_path: str, suffix: str) -> str:
 
 
 def cmd_encrypt(args) -> int:
-    flag, other = ("ss", "key") if args.scheme == SCHEME_IEAHF else ("key", "ss")
+    scheme = _scheme(args)
+    flag, other = ("ss", "key") if scheme == SCHEME_IEAHF else ("key", "ss")
     if getattr(args, other):
-        raise ValueError(f"{args.scheme} writes its key file to --{flag}, not --{other}")
-    _reject_unread_sbox(args, args.scheme == SCHEME_GH401)
+        raise ValueError(f"{scheme} writes its key file to --{flag}, not --{other}")
+    _reject_unread_sbox(args, scheme == SCHEME_GH401)
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".enc.pgm")
-    cipher_img, key = cipher.encrypt(args.scheme, img, *_settings(args.scheme, args))
+    cipher_img, key = cipher.encrypt(scheme, img, *_settings(scheme, args))
     key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
-    if args.scheme == SCHEME_IEAHF:
+    if scheme == SCHEME_IEAHF:
         label, data = "side-channel file", key.to_bytes()
     else:
         label, data = "key envelope", key.to_text().encode("utf-8")
@@ -132,9 +141,12 @@ def _encrypt_fn(scheme, settings):
 
 
 def cmd_analyze(args) -> int:
-    if args.key and not args.differential:
-        raise ValueError("--key is read only by --differential")
-    _reject_unread_sbox(args, args.differential and (bool(args.key) or args.scheme == SCHEME_GH401))
+    if not args.differential:
+        for flag in ("key", "scheme", "system", "rounds", "trials"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is read only by --differential")
+    scheme = _scheme(args)
+    _reject_unread_sbox(args, args.differential and (bool(args.key) or scheme == SCHEME_GH401))
     if args.key:
         env = _read_envelope(args.key)
         _check_envelope_flags(args, env)
@@ -142,15 +154,15 @@ def cmd_analyze(args) -> int:
         env.check_sbox(sbox)
         scheme, settings = env.scheme, (env.params, env.n, sbox, env.system)
     elif args.differential:
-        scheme, settings = args.scheme, _settings(args.scheme, args)
+        settings = _settings(scheme, args)
     img = read_pgm(args.input)
     plain = read_pgm(args.plain) if args.plain else None
     report = analysis.full_report(img, plain, pairs=args.pairs, seed=args.seed or 0)
     text = analysis.report_to_text(report, title="image")
     if args.differential:
         encrypt_fn = _encrypt_fn(scheme, settings)
-        diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img), args.trials,
-                                          args.seed or 0)
+        diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img),
+                                          args.trials or DEFAULT_TRIALS, args.seed or 0)
         text += analysis.key_value_text([
             ("scheme", scheme), ("trials", diff.trials), ("seed", diff.seed),
             ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
@@ -197,22 +209,23 @@ def cmd_sbox_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     """Wall-clock timing; hardware-dependent, informational only."""
-    _reject_unread_sbox(args, args.scheme == SCHEME_GH401)
+    scheme = _scheme(args)
+    _reject_unread_sbox(args, scheme == SCHEME_GH401)
     if args.input:
         img = read_pgm(args.input)
     else:
         img = np.random.default_rng(args.seed or 0).integers(0, 256, size=(256, 256)).astype(np.uint8)
-    params, rounds, sbox, system = _settings(args.scheme, args)
+    params, rounds, sbox, system = _settings(scheme, args)
     enc_times, dec_times = [], []
     for _ in range(args.trials):
         t0 = time.perf_counter()
-        cipher_img, key = cipher.encrypt(args.scheme, img, params, rounds, sbox, system)
+        cipher_img, key = cipher.encrypt(scheme, img, params, rounds, sbox, system)
         t1 = time.perf_counter()
         cipher.decrypt(cipher_img, key, sbox)
         t2 = time.perf_counter()
         enc_times.append(t1 - t0)
         dec_times.append(t2 - t1)
-    pairs = [("scheme", args.scheme), ("image", f"{img.shape[1]}x{img.shape[0]}"),
+    pairs = [("scheme", scheme), ("image", f"{img.shape[1]}x{img.shape[0]}"),
              ("trials", args.trials)]
     for stage, times in (("encrypt", enc_times), ("decrypt", dec_times)):
         pairs += [(f"{stage}.{stat.__name__}_s", f"{stat(times):.6f}")
@@ -238,11 +251,10 @@ def _int_at_least(minimum: int):
 def _add_common(parser, *, scheme=True):
     if scheme:
         parser.add_argument("--scheme", choices=(SCHEME_IEAHF, SCHEME_GH401),
-                            default=SCHEME_GH401, help="cipher scheme (default GH401)")
+                            help=f"cipher scheme (default {DEFAULT_SCHEME})")
     parser.add_argument("--system", choices=tuple(chaos.list_systems()),
                         help=f"dynamical system id (default {cipher.DEFAULT_SYSTEM})")
-    parser.add_argument("--rounds", type=_int_at_least(1), default=None,
-                        help="round count (defaults: IEAHF 2, GH401 4)")
+    parser.add_argument("--rounds", type=_int_at_least(1), help=_ROUNDS_HELP)
     parser.add_argument("--sbox", help=_SBOX_HELP + f"; GH401 only (default {DEFAULT_SBOX})")
     parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="64-bit seed; draws the key parameters wherever a subcommand "
@@ -280,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adjacent pixel pairs sampled per correlation (default %(default)s)")
     p.add_argument("--differential", action="store_true",
                    help="run the single-pixel differential harness (encrypts internally)")
-    p.add_argument("--trials", type=_int_at_least(1), default=100,
-                   help="differential trials (default %(default)s)")
+    p.add_argument("--trials", type=_int_at_least(1),
+                   help=f"differential trials (default {DEFAULT_TRIALS})")
     p.add_argument("--key", help="GH401 key envelope for --differential; it sets the scheme, "
                    "system, rounds and parameters, which --scheme, --system and --rounds "
                    "must agree with, and --sbox must be the one it names")
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, scheme=False)
     p.add_argument("--pairs", type=_int_at_least(2), default=analysis.DEFAULT_CORRELATION_PAIRS,
                    help="adjacent pixel pairs sampled per correlation (default %(default)s)")
-    p.add_argument("--trials", type=_int_at_least(1), default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS,
                    help="differential trials per scheme (default %(default)s)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_compare)
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock encrypt/decrypt timing")
     p.add_argument("input", nargs="?", help="PGM image (default: seeded random 256x256)")
     _add_common(p)
-    p.add_argument("--trials", type=_int_at_least(1), default=100,
+    p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS,
                    help="timing repetitions (default %(default)s)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_bench)

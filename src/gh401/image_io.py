@@ -39,9 +39,12 @@ def read_pgm(path) -> np.ndarray:
     if magic != b"P5":
         raise ValueError(f"unsupported image format {magic!r}: only binary PGM (P5) is handled")
     fields = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         tok, pos = _next_token(data, pos)
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise ValueError(f"PGM header {name} is not an integer: {tok!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"PGM header gives width {width} and height {height}; both must be at least 1")

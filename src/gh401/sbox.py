@@ -65,7 +65,13 @@ def load_sbox(path) -> SBox8:
     stem = os.path.splitext(os.path.basename(path))[0]
     if path.endswith(".txt"):
         with open(path, "r", encoding="utf-8") as fh:
-            values = [int(tok) for tok in fh.read().split()]
+            tokens = fh.read().split()
+        values = []
+        for tok in tokens:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"S-box file {path!r} holds {tok!r}, not an integer") from None
     elif path.endswith(".bin"):
         with open(path, "rb") as fh:
             values = list(fh.read())

@@ -69,8 +69,7 @@ def test_ieahf_reordered_side_file_fails_checksum():
     rng = np.random.default_rng(11)
     img = random_image(rng, 16, 16)
     c, side = cipher.encrypt_ieahf(img, PARAMS, 3)
-    side.perms[0], side.perms[1] = side.perms[1], side.perms[0]
-    side.checksums[0], side.checksums[1] = side.checksums[1], side.checksums[0]
+    side.table[[0, 1]] = side.table[[1, 0]]
     with pytest.raises(ChecksumMismatchError):
         cipher.decrypt_ieahf(c, side)
 
@@ -111,9 +110,9 @@ def test_side_channel_file_bad_magic_and_size():
 
 
 def test_side_channel_file_rejects_non_bijection():
-    perm = np.zeros(16, dtype=np.int64)
+    table = np.zeros((1, 17), dtype=np.int64)
     with pytest.raises(ValueError, match="bijection"):
-        SideChannelFile(width=4, height=4, perms=[perm], checksums=[0])
+        SideChannelFile(width=4, height=4, table=table)
 
 
 @pytest.mark.parametrize("img, message", [
@@ -125,14 +124,21 @@ def test_encrypt_rejects_non_grayscale_images(img, message):
         cipher.encrypt_ieahf(img, PARAMS, 2)
 
 
-@pytest.mark.parametrize("perms, checksums, message", [
-    ([np.arange(16)], [0, 0], "one permutation and checksum per round"),
-    ([], [], "one permutation and checksum per round"),
-    ([np.arange(15)], [0], "15 entries, expected 16"),
-], ids=["unequal", "empty", "wrong-size"])
-def test_side_channel_file_rejects_malformed_rounds(perms, checksums, message):
+def _table(perm, checksum=0, dtype=np.int64):
+    return np.array([[*perm, checksum]], dtype=dtype)
+
+
+@pytest.mark.parametrize("table, message", [
+    (np.empty((0, 17), dtype=np.int64), "one permutation and checksum per round"),
+    (_table(range(15)), "15 entries, expected 16"),
+    (_table(range(16))[0], "2-D int64"),
+    (_table(range(16), dtype=np.int32), "2-D int64"),
+    (_table(range(16), checksum=-1), "checksums must lie in"),
+    (_table(range(16), checksum=2**32), "checksums must lie in"),
+], ids=["empty", "wrong-size", "1-d", "int32", "negative-checksum", "checksum-2**32"])
+def test_side_channel_file_rejects_malformed_rounds(table, message):
     with pytest.raises(ValueError, match=message):
-        SideChannelFile(width=4, height=4, perms=perms, checksums=checksums)
+        SideChannelFile(width=4, height=4, table=table)
 
 
 def test_round_count_below_one_rejected():

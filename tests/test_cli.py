@@ -67,7 +67,8 @@ def test_pgm_empty_file_is_truncated_header(tmp_path):
 @pytest.mark.parametrize("header, message", [
     (b"P5\n-8 -8\n255\n", "width -8 and height -8"),
     (b"P5\n0 4\n255\n", "width 0 and height 4"),
-], ids=["negative", "zero"])
+    (b"P5\nx 4\n255\n", "PGM header width is not an integer: b'x'"),
+], ids=["negative", "zero", "non-integer"])
 def test_pgm_rejects_non_positive_dimensions(tmp_path, header, message):
     path = tmp_path / "flat.pgm"
     path.write_bytes(header + bytes(64))
@@ -612,9 +613,13 @@ _SBOX_UNREAD = "--sbox is read only by GH401 runs"
     (["analyze", "{img}", "--differential", "--scheme", "IEAHF", "--sbox", "/nonexistent.txt"],
      _SBOX_UNREAD),
     (["bench", "{img}", "--scheme", "IEAHF", "--sbox", "/nonexistent.txt"], _SBOX_UNREAD),
+    (["analyze", "{img}", "--scheme", "IEAHF"], "--scheme is read only by --differential"),
+    (["analyze", "{img}", "--system", "hosny6d"], "--system is read only by --differential"),
+    (["analyze", "{img}", "--rounds", "9"], "--rounds is read only by --differential"),
+    (["analyze", "{img}", "--trials", "5"], "--trials is read only by --differential"),
 ], ids=["encrypt-gh401-ss", "encrypt-ieahf-key", "decrypt-ss-and-key", "analyze-key",
         "encrypt-ieahf-sbox", "decrypt-ss-sbox", "analyze-sbox", "analyze-differential-ieahf-sbox",
-        "bench-ieahf-sbox"])
+        "bench-ieahf-sbox", "analyze-scheme", "analyze-system", "analyze-rounds", "analyze-trials"])
 def test_cli_rejects_a_key_file_flag_it_would_ignore(tmp_path, capsys, monkeypatch, argv, message):
     src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
     (tmp_path / "a.ss").write_bytes(b"SSX1")

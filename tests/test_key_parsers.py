@@ -50,10 +50,9 @@ def edited_envelope_texts(draw):
 @st.composite
 def side_channel_files(draw):
     width, height, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    perms = [np.array(draw(st.permutations(range(width * height))), dtype=np.int64)
-             for _ in range(rounds)]
-    checksums = [draw(st.integers(0, 2**32 - 1)) for _ in range(rounds)]
-    return SideChannelFile(width=width, height=height, perms=perms, checksums=checksums)
+    # one row per round: a permutation of the pixel indices, then a 32-bit checksum
+    rows = [[*draw(st.permutations(range(width * height))), draw(u32)] for _ in range(rounds)]
+    return SideChannelFile(width=width, height=height, table=np.array(rows, dtype=np.int64))
 
 
 @st.composite

@@ -102,6 +102,13 @@ def test_load_sbox_length_error(tmp_path):
         load_sbox(short)
 
 
+def test_load_sbox_names_a_non_integer_token(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2 x")
+    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt' holds 'x'"):
+        load_sbox(path)
+
+
 def test_load_sbox_bad_extension(tmp_path):
     path = tmp_path / "box.csv"
     path.write_text("0")
