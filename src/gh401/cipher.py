@@ -15,7 +15,7 @@ GH401 (hardened)
     the round offset k, apply the incremented Q-matrix diffusion, then
     the S-box.  Decryption needs only the compact key envelope, which
     names every setting of one GH401 encryption: system, seeds,
-    parameters, rounds (3 to ``MAX_GH401_ROUNDS``), whitening key and
+    parameters, rounds (3 to ``MAX_ROUNDS``), whitening key and
     S-box.  IEAHF has no envelope; its key material is the side file.
 
 IEAHF permutes with offset 0 and diffuses with bias 0; GH401 uses the
@@ -58,7 +58,8 @@ SCHEME_GH401 = "GH401"
 DEFAULT_ROUNDS = {SCHEME_IEAHF: 2, SCHEME_GH401: 4}
 DEFAULT_SYSTEM = "reftestmap"
 # The last round whose permutation offset k mod 256 is its own round number.
-MAX_GH401_ROUNDS = 255
+# IEAHF takes the same cap, which also bounds its side-file table.
+MAX_ROUNDS = 255
 
 SS_MAGIC = b"SSX1"
 
@@ -88,8 +89,8 @@ def _validate_image(img) -> np.ndarray:
 
 
 def check_gh401_rounds(n: int) -> None:
-    if not 3 <= n <= MAX_GH401_ROUNDS:
-        raise ValueError(f"GH401 uses at least 3 rounds and at most {MAX_GH401_ROUNDS}, got {n}")
+    if not 3 <= n <= MAX_ROUNDS:
+        raise ValueError(f"GH401 uses at least 3 rounds and at most {MAX_ROUNDS}, got {n}")
 
 
 def _crc32(img: np.ndarray) -> int:
@@ -202,6 +203,17 @@ class KeyEnvelope:
         values = (self.scheme, self.system, *reals, self.n, self.whitening.hex(), self.sbox_name)
         return "".join(f"{name}={value}\n" for name, value in zip(self._FIELDS, values))
 
+    def to_bytes(self) -> bytes:
+        return self.to_text().encode("utf-8")
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "KeyEnvelope":
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError("key envelope is not UTF-8 text") from None
+        return cls.from_text(text)
+
     @classmethod
     def from_text(cls, text: str) -> "KeyEnvelope":
         pairs = []
@@ -218,10 +230,17 @@ class KeyEnvelope:
                              f"key envelopes are {cls.scheme}-only")
         if tuple(k for k, _ in pairs) != cls._FIELDS:
             raise ValueError("envelope fields missing, repeated, or out of order")
-        reals = [float(values[k]) for k in cls._REALS]
+
+        def parse(name, convert, kind):
+            try:
+                return convert(values[name])
+            except ValueError:
+                raise ValueError(f"envelope field {name} is not {kind}: {values[name]!r}") from None
+
+        reals = [parse(k, float, "a real number") for k in cls._REALS]
         return cls(system=values["system"], ic=InitialConditions(*reals[:6]),
-                   params=SystemParams(*reals[6:]), n=int(values["n"]),
-                   whitening=bytes.fromhex(values["whitening"]), sbox_name=values["sbox"])
+                   params=SystemParams(*reals[6:]), n=parse("n", int, "an integer"),
+                   whitening=parse("whitening", bytes.fromhex, "hex"), sbox_name=values["sbox"])
 
 
 def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -267,8 +286,8 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     weakness demonstrations.
     """
     img = _validate_image(img)
-    if n < 1:
-        raise ValueError("round count must be at least 1")
+    if not 1 <= n <= MAX_ROUNDS:
+        raise ValueError(f"IEAHF uses at least 1 round and at most {MAX_ROUNDS}, got {n}")
     h, w = img.shape
     cur = img
     table = np.empty((n, img.size + 1), dtype=np.int64)
@@ -397,7 +416,7 @@ def _nominal_envelope_bytes() -> int:
     env = KeyEnvelope(system="hosny6d", ic=initial_conditions_from_sum(0, 256 * 256),
                       params=default_params("hosny6d"), n=DEFAULT_ROUNDS[SCHEME_GH401],
                       whitening=bytes(16), sbox_name="aes")
-    return len(env.to_text().encode("utf-8"))
+    return len(env.to_bytes())
 
 
 NOMINAL_ENVELOPE_BYTES = _nominal_envelope_bytes()

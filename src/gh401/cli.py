@@ -79,11 +79,6 @@ def _settings(scheme: str, args):
     return params, args.rounds, sbox, system
 
 
-def _read_envelope(path) -> cipher.KeyEnvelope:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cipher.KeyEnvelope.from_text(fh.read())
-
-
 def _check_envelope_flags(args, env: cipher.KeyEnvelope) -> None:
     """Raise :class:`cipher.EnvelopeMismatchError` for a given flag that disagrees with ``env``."""
     for flag, given, stored in (("--scheme", args.scheme, env.scheme),
@@ -100,7 +95,8 @@ def _default_out(input_path: str, suffix: str) -> str:
 
 def cmd_encrypt(args) -> int:
     scheme = _scheme(args)
-    flag, other = ("ss", "key") if scheme == SCHEME_IEAHF else ("key", "ss")
+    flag, other, label = (("ss", "key", "side-channel file") if scheme == SCHEME_IEAHF
+                          else ("key", "ss", "key envelope"))
     if getattr(args, other):
         raise ValueError(f"{scheme} writes its key file to --{flag}, not --{other}")
     _reject_unread_sbox(args, scheme == SCHEME_GH401)
@@ -108,10 +104,7 @@ def cmd_encrypt(args) -> int:
     out = args.out or _default_out(args.input, ".enc.pgm")
     cipher_img, key = cipher.encrypt(scheme, img, *_settings(scheme, args))
     key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
-    if scheme == SCHEME_IEAHF:
-        label, data = "side-channel file", key.to_bytes()
-    else:
-        label, data = "key envelope", key.to_text().encode("utf-8")
+    data = key.to_bytes()
     write_pgm(out, cipher_img)
     write_atomic(key_path, data)
     print(f"ciphertext: {out}")
@@ -126,11 +119,9 @@ def cmd_decrypt(args) -> int:
     _reject_unread_sbox(args, bool(args.key))
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".dec.pgm")
-    if args.ss:
-        with open(args.ss, "rb") as fh:
-            key, sbox = cipher.SideChannelFile.from_bytes(fh.read()), None
-    else:
-        key, sbox = _read_envelope(args.key), _resolve_sbox(args.sbox)
+    with open(args.key or args.ss, "rb") as fh:
+        key = (cipher.KeyEnvelope if args.key else cipher.SideChannelFile).from_bytes(fh.read())
+    sbox = _resolve_sbox(args.sbox) if args.key else None
     write_pgm(out, cipher.decrypt(img, key, sbox))
     print(f"plaintext: {out}")
     return EXIT_OK
@@ -148,7 +139,8 @@ def cmd_analyze(args) -> int:
     scheme = _scheme(args)
     _reject_unread_sbox(args, args.differential and (bool(args.key) or scheme == SCHEME_GH401))
     if args.key:
-        env = _read_envelope(args.key)
+        with open(args.key, "rb") as fh:
+            env = cipher.KeyEnvelope.from_bytes(fh.read())
         _check_envelope_flags(args, env)
         sbox = _resolve_sbox(args.sbox)
         env.check_sbox(sbox)

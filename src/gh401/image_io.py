@@ -32,9 +32,16 @@ def _next_token(data: bytes, pos: int):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM file into a 2-D uint8 array."""
+    """Read a binary PGM file into a 2-D uint8 array; a parse error names the file."""
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse_pgm(data)
+    except ValueError as exc:
+        raise ValueError(f"image {os.fsdecode(path)!r}: {exc}") from None
+
+
+def _parse_pgm(data: bytes) -> np.ndarray:
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise ValueError(f"unsupported image format {magic!r}: only binary PGM (P5) is handled")

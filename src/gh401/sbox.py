@@ -15,7 +15,7 @@ result lies in [0, m]; lower values are reported as more DPA-resistant.
 
 Two tables ship with the package: the identity (for pipeline isolation
 tests) and the well-documented strong "aes" table stored under
-``data/aes_sbox.txt``; :func:`bundled_sbox` returns them by name.
+``data/aes.txt``; :func:`bundled_sbox` returns them by name.
 Externally constructed tables, such as genetic-algorithm optimized ones,
 come in one of two ways: an in-memory table goes through :class:`SBox8`,
 a ``.txt`` or ``.bin`` table file through :func:`load_sbox`.
@@ -64,8 +64,11 @@ def load_sbox(path) -> SBox8:
     path = os.fsdecode(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     if path.endswith(".txt"):
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"S-box file {path!r} is not UTF-8 text: {exc}") from None
         values = []
         for tok in tokens:
             try:
@@ -92,8 +95,8 @@ def bundled_sbox(name: str) -> SBox8:
     if name == "identity":
         return SBox8(np.arange(256), name="identity")
     if name == "aes":
-        text = resources.files("gh401").joinpath("data/aes_sbox.txt").read_text()
-        return SBox8([int(tok) for tok in text.split()], name="aes")
+        with resources.as_file(resources.files("gh401").joinpath("data/aes.txt")) as path:
+            return load_sbox(path)
     raise ValueError(f"unknown bundled S-box {name!r} (known: {', '.join(BUNDLED_SBOXES)})")
 
 

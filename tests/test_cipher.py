@@ -148,6 +148,13 @@ def test_round_count_below_one_rejected():
         cipher.key_space_bits(0)
 
 
+@pytest.mark.parametrize("n", [cipher.MAX_ROUNDS + 1, 100_000_000_000])
+def test_ieahf_round_count_is_capped_before_any_allocation(monkeypatch, n):
+    monkeypatch.setattr(cipher, "generate_orbit", None)
+    with pytest.raises(ValueError, match="IEAHF uses at least 1 round and at most 255"):
+        cipher.encrypt_ieahf(black(8), PARAMS, n)
+
+
 # ---------------------------------------------------------------- GH401
 
 def test_gh401_roundtrip_random():
@@ -234,12 +241,12 @@ def test_gh401_round_minimum():
 
 def test_gh401_round_maximum(monkeypatch):
     img = random_image(np.random.default_rng(27), 8, 8)
-    c, env = cipher.encrypt_gh401(img, PARAMS, cipher.MAX_GH401_ROUNDS, AES)
+    c, env = cipher.encrypt_gh401(img, PARAMS, cipher.MAX_ROUNDS, AES)
     assert np.array_equal(cipher.decrypt_gh401(c, env, AES), img)
     # One round more is refused before any orbit is generated.
     monkeypatch.setattr(cipher, "generate_orbit", None)
     with pytest.raises(ValueError, match="at most 255"):
-        cipher.encrypt_gh401(img, PARAMS, cipher.MAX_GH401_ROUNDS + 1, AES)
+        cipher.encrypt_gh401(img, PARAMS, cipher.MAX_ROUNDS + 1, AES)
 
 
 def test_envelope_text_roundtrip_bit_exact():
@@ -285,8 +292,27 @@ def test_envelope_field_order_enforced():
         KeyEnvelope.from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("x1", "abc", "envelope field x1 is not a real number: 'abc'"),
+    ("n", "four", "envelope field n is not an integer: 'four'"),
+    ("whitening", "zz", "envelope field whitening is not hex: 'zz'"),
+])
+def test_envelope_parse_error_names_the_field(field, value, message):
+    lines = [f"{field}={value}" if ln.startswith(f"{field}=") else ln
+             for ln in _envelope(4).to_text().splitlines()]
+    with pytest.raises(ValueError, match=message):
+        KeyEnvelope.from_text("\n".join(lines))
+
+
+def test_envelope_bytes_are_its_utf8_text():
+    env = _envelope(4, sbox_name="b\u00f6x")
+    assert env.to_bytes() == env.to_text().encode("utf-8")
+    with pytest.raises(ValueError, match="^key envelope is not UTF-8 text$"):
+        KeyEnvelope.from_bytes(b"\xff\xfe" + env.to_bytes())
+
+
 def test_envelope_validation():
-    for n in (2, cipher.MAX_GH401_ROUNDS + 1):
+    for n in (2, cipher.MAX_ROUNDS + 1):
         with pytest.raises(ValueError, match="at least 3 rounds and at most 255"):
             _envelope(n)
     with pytest.raises(ValueError, match="whitening"):

@@ -85,6 +85,16 @@ def test_cli_analyze_rejects_a_negative_pgm_dimension(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_analyze_names_the_bad_plain_image(tmp_path, capsys):
+    src = write_image(tmp_path / "c.pgm", np.zeros((4, 4), dtype=np.uint8))
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n4 4\n255\n")
+    assert cli.main(["analyze", src, "--plain", str(bad)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"image {str(bad)!r}: PGM payload truncated: expected 16 bytes, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_pgm_write_rejects_1d_array(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_pgm(tmp_path / "flat.pgm", np.zeros(4, dtype=np.uint8))
@@ -331,6 +341,23 @@ def test_cli_rejects_out_of_range_trials_and_seed(tmp_path, capsys, argv, flag):
     assert exc.value.code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pgm"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--out", "c.pgm", "--ss", "c.ss"],
+    ["bench", "--trials", "1", "--report", "r.txt"],
+    ["analyze", "--differential", "--trials", "1", "--report", "r.txt"],
+], ids=["encrypt", "bench", "analyze-differential"])
+@pytest.mark.parametrize("rounds", ["256", "100000000000"])
+def test_cli_ieahf_rounds_are_capped(tmp_path, capsys, monkeypatch, argv, rounds):
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([argv[0], src, *argv[1:], "--scheme", "IEAHF", "--rounds", rounds])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"IEAHF uses at least 1 round and at most 255, got {rounds}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pgm"]
 

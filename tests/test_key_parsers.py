@@ -1,8 +1,8 @@
-"""Property tests for the two key parsers: GH401 envelope text and SSX1 side files.
+"""Property tests for the two key parsers: GH401 envelopes and SSX1 side files.
 
-Both read key material from outside the program, so any input either
-parses or raises ``ValueError`` (the CLI's exit 2), and serialize ->
-parse -> serialize is byte-exact.
+Both read key material from outside the program, so any input, as text
+or as the bytes of a key file, either parses or raises ``ValueError``
+(the CLI's exit 2), and serialize -> parse -> serialize is byte-exact.
 """
 
 import struct
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gh401.chaos import InitialConditions, SystemParams
-from gh401.cipher import MAX_GH401_ROUNDS, KeyEnvelope, SideChannelFile
+from gh401.cipher import MAX_ROUNDS, KeyEnvelope, SideChannelFile
 
 SETTINGS = settings(database=None, max_examples=200, deadline=None)
 
@@ -24,7 +24,7 @@ envelopes = st.builds(
     system=names,
     ic=st.builds(InitialConditions, finite, finite, finite, finite, finite, finite),
     params=st.builds(SystemParams, finite, finite, finite, finite, finite, finite),
-    n=st.integers(3, MAX_GH401_ROUNDS),
+    n=st.integers(3, MAX_ROUNDS),
     whitening=st.binary(min_size=16, max_size=16),
     sbox_name=names,
 )
@@ -45,6 +45,18 @@ def edited_envelope_texts(draw):
         j = draw(st.integers(i, min(len(text), i + 8)))
         text = text[:i] + draw(st.text(max_size=8)) + text[j:]
     return text
+
+
+@st.composite
+def edited_envelope_bytes(draw):
+    """A valid envelope file with raw byte-slice edits, so not always UTF-8."""
+    data = draw(envelopes).to_bytes()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        edit = st.binary(max_size=8) | st.text(max_size=8).map(str.encode)
+        data = data[:i] + draw(edit) + data[j:]
+    return data
 
 
 @st.composite
@@ -85,6 +97,25 @@ def test_envelope_parser_raises_only_value_error(text):
     except ValueError:
         return
     assert KeyEnvelope.from_text(env.to_text()) == env
+
+
+@SETTINGS
+@given(envelopes)
+def test_envelope_bytes_serialize_parse_serialize_is_byte_exact(env):
+    data = env.to_bytes()
+    parsed = KeyEnvelope.from_bytes(data)
+    assert parsed == env
+    assert parsed.to_bytes() == data
+
+
+@SETTINGS
+@given(st.binary() | edited_envelope_bytes())
+def test_envelope_bytes_parser_raises_only_value_error(data):
+    try:
+        env = KeyEnvelope.from_bytes(data)
+    except ValueError:
+        return
+    assert KeyEnvelope.from_bytes(env.to_bytes()) == env
 
 
 @SETTINGS

@@ -109,6 +109,13 @@ def test_load_sbox_names_a_non_integer_token(tmp_path):
         load_sbox(path)
 
 
+def test_load_sbox_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe 1 2")
+    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt' is not UTF-8 text: 'utf-8' codec"):
+        load_sbox(path)
+
+
 def test_load_sbox_bad_extension(tmp_path):
     path = tmp_path / "box.csv"
     path.write_text("0")
