@@ -23,8 +23,8 @@ from gh401.chaos import (
     get_system,
     list_systems,
 )
-from gh401.permute import invert_permute
-from gh401.diffuse import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, fib_q_power, inverse_diffuse
+from gh401.permute import invert_permute, permute
+from gh401.diffuse import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, diffuse, fib_q_power, inverse_diffuse
 from gh401.sbox import SBox8, bundled_sbox, load_sbox, substitute, transparency_order
 from gh401.cipher import (
     SCHEME_GH401,
@@ -36,14 +36,10 @@ from gh401.cipher import (
     bandwidth_ratio,
     decrypt_gh401,
     decrypt_ieahf,
-    diffuse_gh401,
-    diffuse_ieahf,
     encrypt_gh401,
     encrypt_ieahf,
     ieahf_key_space_bits,
     key_space_bits,
-    permute_gh401,
-    permute_ieahf,
 )
 from gh401.analysis import (
     CHI2_CRITICAL_255_001,
@@ -80,12 +76,10 @@ __all__ = [
     "get_system",
     "list_systems",
     "invert_permute",
-    "permute_gh401",
-    "permute_ieahf",
+    "permute",
     "DIFFUSION_MATRIX",
     "DIFFUSION_MATRIX_INV",
-    "diffuse_gh401",
-    "diffuse_ieahf",
+    "diffuse",
     "fib_q_power",
     "inverse_diffuse",
     "SBox8",

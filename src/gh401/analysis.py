@@ -179,7 +179,11 @@ def full_report(cipher: np.ndarray, plain: np.ndarray | None = None,
     """Run every metric with one seed and collect the results."""
     cipher = np.asarray(cipher, dtype=np.uint8)
     h, w = cipher.shape
-    pairs = min(pairs, (w - 1) * h, (h - 1) * w, (h - 1) * (w - 1))
+    available = min((w - 1) * h, (h - 1) * w, (h - 1) * (w - 1))
+    if available < 2:
+        raise ValueError(f"image is {w}x{h}; correlation needs at least 2 adjacent "
+                         "pixel pairs in each direction")
+    pairs = min(pairs, available)
     corr = {}
     zero_variance = False
     for direction in _DIRECTIONS:

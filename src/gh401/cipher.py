@@ -56,6 +56,7 @@ from gh401.sbox import SBox8, substitute
 SCHEME_IEAHF = "IEAHF"
 SCHEME_GH401 = "GH401"
 DEFAULT_ROUNDS = {SCHEME_IEAHF: 2, SCHEME_GH401: 4}
+MIN_ROUNDS = {SCHEME_IEAHF: 1, SCHEME_GH401: 3}
 DEFAULT_SYSTEM = "reftestmap"
 # The last round whose permutation offset k mod 256 is its own round number.
 # IEAHF takes the same cap, which also bounds its side-file table.
@@ -88,9 +89,12 @@ def _validate_image(img) -> np.ndarray:
     return img
 
 
-def check_gh401_rounds(n: int) -> None:
-    if not 3 <= n <= MAX_ROUNDS:
-        raise ValueError(f"GH401 uses at least 3 rounds and at most {MAX_ROUNDS}, got {n}")
+def check_rounds(scheme: str, n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` lies in ``scheme``'s round range."""
+    lo = MIN_ROUNDS[scheme]
+    if not lo <= n <= MAX_ROUNDS:
+        unit = "round" if lo == 1 else "rounds"
+        raise ValueError(f"{scheme} uses at least {lo} {unit} and at most {MAX_ROUNDS}, got {n}")
 
 
 def _crc32(img: np.ndarray) -> int:
@@ -104,9 +108,10 @@ class SideChannelFile:
     ``table`` holds one int64 row of width*height + 1 values per round:
     the round's 0-based indices, then the CRC32 of the post-round image.
     On disk: magic ``SSX1``, then rounds, width, height and the table,
-    all as 32-bit little-endian values.  Construction checks that every
-    round holds a bijection on [0, width*height) and every checksum fits
-    32 bits, so serialization and decryption need not.
+    all as 32-bit little-endian values.  Construction checks that there
+    are 1 to ``MAX_ROUNDS`` rounds, every round holds a bijection on
+    [0, width*height) and every checksum fits 32 bits, so serialization
+    and decryption need not.
     """
 
     width: int
@@ -119,6 +124,7 @@ class SideChannelFile:
             raise ValueError("side-channel table must be a 2-D int64 array")
         if not len(table):
             raise ValueError("side-channel file must hold one permutation and checksum per round")
+        check_rounds(SCHEME_IEAHF, len(table))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"side-channel file is for a {self.width}x{self.height} image")
         mn = self.width * self.height
@@ -175,7 +181,7 @@ class KeyEnvelope:
     sbox_name: str
 
     def __post_init__(self):
-        check_gh401_rounds(self.n)
+        check_rounds(self.scheme, self.n)
         if len(self.whitening) != 16:
             raise ValueError("GH401 envelopes carry a 16-byte whitening key")
         if not self.sbox_name:
@@ -286,8 +292,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     weakness demonstrations.
     """
     img = _validate_image(img)
-    if not 1 <= n <= MAX_ROUNDS:
-        raise ValueError(f"IEAHF uses at least 1 round and at most {MAX_ROUNDS}, got {n}")
+    check_rounds(SCHEME_IEAHF, n)
     h, w = img.shape
     cur = img
     table = np.empty((n, img.size + 1), dtype=np.int64)
@@ -333,7 +338,7 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
                   system: str = DEFAULT_SYSTEM):
     """Hardened pipeline; returns (ciphertext, key envelope)."""
     img = _validate_image(img)
-    check_gh401_rounds(n)
+    check_rounds(SCHEME_GH401, n)
     _require_sbox(sbox)
     h, w = img.shape
     ic = derive_initial_conditions(img)

@@ -34,8 +34,9 @@ EXIT_MISMATCH = 4
 DEFAULT_SCHEME = SCHEME_GH401
 DEFAULT_SBOX = "aes"
 DEFAULT_TRIALS = 100
-_ROUNDS_HELP = "round count (defaults: {})".format(
-    ", ".join(f"{scheme} {n}" for scheme, n in cipher.DEFAULT_ROUNDS.items()))
+_ROUNDS_HELP = "round count ({})".format("; ".join(
+    f"{scheme} {cipher.MIN_ROUNDS[scheme]} to {cipher.MAX_ROUNDS}, default {n}"
+    for scheme, n in cipher.DEFAULT_ROUNDS.items()))
 _SBOX_HELP = f"bundled S-box name ({', '.join(BUNDLED_SBOXES)}) or a .txt/.bin table file"
 
 
@@ -69,9 +70,13 @@ def _system(args) -> str:
 def _settings(scheme: str, args):
     """The ``(params, rounds, sbox, system)`` that ``cipher.encrypt`` takes after the image.
 
+    Called before any file is read.  ``--rounds`` must lie in the scheme's
+    range; IEAHF has no S-box stage, so only GH401 takes ``--sbox``.
     ``--seed`` draws the parameters, else the system's defaults are used.
-    IEAHF has no S-box stage, so only GH401 loads ``--sbox``.
     """
+    if args.rounds is not None:
+        cipher.check_rounds(scheme, args.rounds)
+    _reject_unread_sbox(args, scheme == SCHEME_GH401)
     system = _system(args)
     params = (chaos.default_params(system) if args.seed is None
               else chaos.draw_params(system, args.seed))
@@ -99,10 +104,10 @@ def cmd_encrypt(args) -> int:
                           else ("key", "ss", "key envelope"))
     if getattr(args, other):
         raise ValueError(f"{scheme} writes its key file to --{flag}, not --{other}")
-    _reject_unread_sbox(args, scheme == SCHEME_GH401)
+    settings = _settings(scheme, args)
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".enc.pgm")
-    cipher_img, key = cipher.encrypt(scheme, img, *_settings(scheme, args))
+    cipher_img, key = cipher.encrypt(scheme, img, *settings)
     key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
     data = key.to_bytes()
     write_pgm(out, cipher_img)
@@ -117,11 +122,11 @@ def cmd_decrypt(args) -> int:
         raise ValueError("decrypt takes exactly one of --key (GH401 envelope) "
                          "and --ss (IEAHF side-channel file)")
     _reject_unread_sbox(args, bool(args.key))
+    sbox = _resolve_sbox(args.sbox) if args.key else None
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".dec.pgm")
     with open(args.key or args.ss, "rb") as fh:
         key = (cipher.KeyEnvelope if args.key else cipher.SideChannelFile).from_bytes(fh.read())
-    sbox = _resolve_sbox(args.sbox) if args.key else None
     write_pgm(out, cipher.decrypt(img, key, sbox))
     print(f"plaintext: {out}")
     return EXIT_OK
@@ -137,7 +142,7 @@ def cmd_analyze(args) -> int:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} is read only by --differential")
     scheme = _scheme(args)
-    _reject_unread_sbox(args, args.differential and (bool(args.key) or scheme == SCHEME_GH401))
+    _reject_unread_sbox(args, args.differential)
     if args.key:
         with open(args.key, "rb") as fh:
             env = cipher.KeyEnvelope.from_bytes(fh.read())
@@ -166,14 +171,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     """Both schemes on one image: per-scheme metrics plus differential means."""
-    if args.rounds is not None:
-        cipher.check_gh401_rounds(args.rounds)  # GH401 runs too; fail before IEAHF works
+    # One GH401 resolution serves both runs: cipher.encrypt ignores the S-box
+    # for IEAHF, and GH401's 3..255 rounds lie inside IEAHF's 1..255.
+    settings = _settings(SCHEME_GH401, args)
     img = read_pgm(args.input)
     seed = args.seed or 0
     header, sections = [], []
-    # GH401 loads --sbox here, so a bad one fails before IEAHF works too
-    runs = [(scheme, _settings(scheme, args)) for scheme in (SCHEME_IEAHF, SCHEME_GH401)]
-    for scheme, settings in runs:
+    for scheme in (SCHEME_IEAHF, SCHEME_GH401):
         cipher_img, key = cipher.encrypt(scheme, img, *settings)
         title = scheme.lower()
         header.append((f"{title}.rounds", key.rounds))
@@ -202,12 +206,11 @@ def cmd_sbox_eval(args) -> int:
 def cmd_bench(args) -> int:
     """Wall-clock timing; hardware-dependent, informational only."""
     scheme = _scheme(args)
-    _reject_unread_sbox(args, scheme == SCHEME_GH401)
+    params, rounds, sbox, system = _settings(scheme, args)
     if args.input:
         img = read_pgm(args.input)
     else:
         img = np.random.default_rng(args.seed or 0).integers(0, 256, size=(256, 256)).astype(np.uint8)
-    params, rounds, sbox, system = _settings(scheme, args)
     enc_times, dec_times = [], []
     for _ in range(args.trials):
         t0 = time.perf_counter()

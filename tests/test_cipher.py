@@ -135,7 +135,9 @@ def _table(perm, checksum=0, dtype=np.int64):
     (_table(range(16), dtype=np.int32), "2-D int64"),
     (_table(range(16), checksum=-1), "checksums must lie in"),
     (_table(range(16), checksum=2**32), "checksums must lie in"),
-], ids=["empty", "wrong-size", "1-d", "int32", "negative-checksum", "checksum-2**32"])
+    (np.tile(_table(range(16)), (256, 1)), "IEAHF uses at least 1 round and at most 255, got 256"),
+], ids=["empty", "wrong-size", "1-d", "int32", "negative-checksum", "checksum-2**32",
+        "256-rounds"])
 def test_side_channel_file_rejects_malformed_rounds(table, message):
     with pytest.raises(ValueError, match=message):
         SideChannelFile(width=4, height=4, table=table)

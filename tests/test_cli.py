@@ -563,7 +563,9 @@ def test_cli_ieahf_envelope_is_validation_error(tmp_path, capsys, command):
     (b"SSX1\x01\x00", "shorter than its 16-byte header"),
     (b"SSX1" + struct.pack("<III", 1, 0, 2) + bytes(4), "for a 0x2 image"),
     (b"SSX1" + struct.pack("<III", 0, 2, 2), "one permutation and checksum per round"),
-], ids=["index-out-of-range", "short-header", "empty-image", "no-rounds"])
+    (b"SSX1" + struct.pack("<III", 256, 2, 2) + struct.pack("<5I", 0, 1, 2, 3, 0) * 256,
+     "IEAHF uses at least 1 round and at most 255, got 256"),
+], ids=["index-out-of-range", "short-header", "empty-image", "no-rounds", "256-rounds"])
 def test_cli_malformed_side_file_is_validation_error(tmp_path, capsys, blob, message):
     src = write_image(tmp_path / "c.pgm", np.zeros((2, 2), dtype=np.uint8))
     ss = tmp_path / "c.ss"
@@ -700,3 +702,42 @@ def test_cli_analyze_reads_its_key_before_the_report(tmp_path, monkeypatch, flag
             *(flag.format(dir=tmp_path) for flag in flags)]
     assert cli.main(argv) == code
     assert reports == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encrypt", "--scheme", "IEAHF", "--rounds", "256"],
+     "IEAHF uses at least 1 round and at most 255, got 256"),
+    (["bench", "--rounds", "2"], "GH401 uses at least 3 rounds and at most 255, got 2"),
+    (["analyze", "--differential", "--scheme", "IEAHF", "--rounds", "256"],
+     "IEAHF uses at least 1 round and at most 255, got 256"),
+    (["decrypt", "--key", "{dir}/missing.key", "--sbox", "x.xyz"],
+     "unsupported S-box file extension"),
+], ids=["encrypt-ieahf-rounds", "bench-gh401-rounds", "analyze-differential-ieahf-rounds",
+        "decrypt-sbox"])
+def test_cli_checks_its_settings_before_it_reads_a_file(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    reads, reports = [], []
+
+    def spy(path):
+        reads.append(path)
+        return read_pgm(path)
+
+    monkeypatch.setattr(cli, "read_pgm", spy)
+    monkeypatch.setattr(cli.analysis, "full_report", lambda *a, **k: reports.append(a))
+    missing = str(tmp_path / "missing.pgm")
+    code = cli.main([argv[0], missing, *(arg.format(dir=tmp_path) for arg in argv[1:])])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert message in err
+    assert reads == [] and reports == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 1)], ids=["2x2", "1x4"])
+def test_cli_analyze_names_an_image_too_small_for_correlation(tmp_path, capsys, shape):
+    src = write_image(tmp_path / "s.pgm", np.arange(4, dtype=np.uint8).reshape(shape))
+    assert cli.main(["analyze", src]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    h, w = shape
+    assert f"image is {w}x{h}; correlation needs at least 2 adjacent pixel pairs" in err
+    assert "need at least 2 pairs" not in err

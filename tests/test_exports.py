@@ -7,3 +7,8 @@ def test_all_is_unique_and_every_name_resolves():
     # `from gh401 import *` fails on a name that no longer exists.
     assert len(gh401.__all__) == len(set(gh401.__all__))
     assert [name for name in gh401.__all__ if not hasattr(gh401, name)] == []
+
+
+def test_forward_stages_are_exported_beside_their_inverses():
+    assert {"permute", "invert_permute", "diffuse", "inverse_diffuse"} <= set(gh401.__all__)
+    assert (gh401.permute, gh401.diffuse) == (gh401.cipher.permute, gh401.cipher.diffuse)
