@@ -1,4 +1,4 @@
-"""Hyperchaotic keystream layer.
+"""Keystream layer: the dynamical systems and what the ciphers take from them.
 
 Everything the ciphers need from the 6-dimensional dynamical system lives
 here: deriving the initial conditions from the plaintext, iterating the
@@ -10,9 +10,10 @@ There are exactly two systems, each a class with a ``name``, its
 ``DEFAULT_PARAMS`` and the ``iterate`` that :func:`generate_orbit` calls:
 
 ``hosny6d``
-    A six-dimensional Lorenz-family hyperchaotic flow (Lorenz core plus
-    three linear feedback states), advanced one fixed RK4 step of size
-    ``RK4_STEP`` per iteration.
+    A six-dimensional Lorenz-family flow (Lorenz core plus three linear
+    feedback states), advanced one fixed RK4 step of size ``RK4_STEP``
+    per iteration.  Measured, it does not amplify seed changes; see
+    :class:`Hosny6D`.
 
 ``reftestmap``
     A coupled logistic ring map confined to [0, 1)^6.  It is a
@@ -165,7 +166,7 @@ class ReferenceTestMap:
 
 
 class Hosny6D:
-    """Six-dimensional hyperchaotic flow, one RK4 step per iteration.
+    """Six-dimensional Lorenz-family flow, one RK4 step per iteration.
 
     The flow couples a Lorenz core (parameters a, b, c) with a damped
     nonlinear mode x4 and two integral feedback states x5, x6:
@@ -180,8 +181,13 @@ class Hosny6D:
     One iteration advances the flow by the fixed step ``RK4_STEP`` with
     the classical fourth-order Runge-Kutta rule, evaluated in exactly the
     order x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), stage states x + (0.5*h)*k.
-    The default parameters (10, 8/3, 28, -1, 8, 3) sit in the
-    hyperchaotic regime.
+    The default parameters are (10, 8/3, 28, -1, 8, 3).  Measured, the
+    flow does not amplify seed changes, as a chaotic one would.  From the
+    seeds of a 256x256 ``default_rng(3)`` image, scaling x1 by (1 + 1e-12)
+    left the two orbits within 1.1e-10 of each other over all 88 384 rows
+    of a 4-round GH401 encryption, on a trajectory of scale about 97; with
+    ``draw_params("hosny6d", 3)`` they stayed within 1.7e-10.  Under the
+    same change reftestmap separates beyond 0.1 within 35 iterations.
     """
 
     name = "hosny6d"
@@ -262,8 +268,8 @@ def default_params(system_name: str) -> SystemParams:
 def draw_params(system_name: str, seed: int) -> SystemParams:
     """Seeded random key draw: each default parameter perturbed by up to 1%.
 
-    The 1% band keeps hosny6d inside its hyperchaotic regime while making
-    every component carry fresh key material.
+    The 1% band makes every component carry fresh key material.  It does
+    not make hosny6d sensitive to its seeds: see :class:`Hosny6D`.
     """
     rng = np.random.default_rng(seed)
     base = default_params(system_name).as_tuple()

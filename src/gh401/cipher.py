@@ -168,7 +168,8 @@ class KeyEnvelope:
     Serialized as UTF-8 text, one ``field=value`` per line, reals printed
     with 17 significant digits, field order fixed: scheme (always GH401),
     system, x1..x6, a..e, r, n, whitening as 32 hex characters, and the
-    S-box name.  Parsing and re-serializing is byte-exact.
+    S-box name, each line ending in a newline.  A text parses only if
+    writing it back gives the same text, so one key has one file.
     """
 
     scheme: ClassVar[str] = SCHEME_GH401
@@ -222,20 +223,12 @@ class KeyEnvelope:
 
     @classmethod
     def from_text(cls, text: str) -> "KeyEnvelope":
-        pairs = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise ValueError(f"envelope line {lineno} is not field=value: {line!r}")
-            key, _, value = line.partition("=")
-            pairs.append((key, value))
-        values = dict(pairs)
+        values = dict(line.partition("=")[::2] for line in text.splitlines())
         if values.get("scheme") != cls.scheme:
             raise ValueError(f"envelope is for scheme {values.get('scheme')!r}; "
                              f"key envelopes are {cls.scheme}-only")
-        if tuple(k for k, _ in pairs) != cls._FIELDS:
-            raise ValueError("envelope fields missing, repeated, or out of order")
+        if tuple(values) != cls._FIELDS:
+            raise ValueError("envelope fields missing, unknown, or out of order")
 
         def parse(name, convert, kind):
             try:
@@ -244,9 +237,13 @@ class KeyEnvelope:
                 raise ValueError(f"envelope field {name} is not {kind}: {values[name]!r}") from None
 
         reals = [parse(k, float, "a real number") for k in cls._REALS]
-        return cls(system=values["system"], ic=InitialConditions(*reals[:6]),
-                   params=SystemParams(*reals[6:]), n=parse("n", int, "an integer"),
-                   whitening=parse("whitening", bytes.fromhex, "hex"), sbox_name=values["sbox"])
+        env = cls(system=values["system"], ic=InitialConditions(*reals[:6]),
+                  params=SystemParams(*reals[6:]), n=parse("n", int, "an integer"),
+                  whitening=parse("whitening", bytes.fromhex, "hex"), sbox_name=values["sbox"])
+        if env.to_text() != text:
+            raise ValueError("envelope is not in the form its writer writes: one field=value "
+                             "line each, ending in a newline, with the value written canonically")
+        return env
 
 
 def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -434,8 +431,9 @@ def bandwidth_ratio(width: int, height: int, n: int) -> float:
     envelope is the fixed-size canonical text record (header and
     checksum bytes of the actual file format are negligible and
     excluded).  No clamping: degenerate geometries may yield ratios
-    below 1.
+    below 1.  ``n`` is the side file's IEAHF round count.
     """
-    if width < 1 or height < 1 or n < 1:
-        raise ValueError("width, height, and round count must be at least 1")
+    check_rounds(SCHEME_IEAHF, n)
+    if width < 1 or height < 1:
+        raise ValueError("width and height must be at least 1")
     return (4.0 * n * width * height) / NOMINAL_ENVELOPE_BYTES

@@ -355,6 +355,23 @@ def test_seed_sensitivity_reshuffles_argsort():
     assert (s1 != s2).mean() >= 0.90
 
 
+def test_hosny6d_does_not_amplify_a_seed_change():
+    # A chaotic flow grows a seed change exponentially: the 3-D Lorenz core
+    # alone, under the same RK4 step, grows it by about e^48 over these ~88
+    # time units.  hosny6d keeps a 1e-12 relative change of x1 below 1e-6
+    # over the whole orbit of a 256x256, 4-round GH401 encryption.
+    img = np.random.default_rng(3).integers(0, 256, size=(256, 256)).astype(np.uint8)
+    ic = chaos.derive_initial_conditions(img)
+    bumped = chaos.InitialConditions(ic.x1 * (1 + 1e-12), ic.x2, ic.x3, ic.x4, ic.x5, ic.x6)
+    assert bumped != ic
+    system = chaos.get_system("hosny6d")
+    rows = chaos.TRANSIENT_LENGTH + 4 * chaos.rows_for_sequence(img.size)
+    for params in (chaos.default_params("hosny6d"), chaos.draw_params("hosny6d", 3)):
+        gap = np.abs(system.iterate(ic.as_tuple(), params, rows)
+                     - system.iterate(bumped.as_tuple(), params, rows)).max()
+        assert 0 < gap < 1e-6
+
+
 def test_registry():
     assert chaos.list_systems() == ["hosny6d", "reftestmap"]
     with pytest.raises(ValueError, match="unknown dynamical system"):

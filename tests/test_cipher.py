@@ -281,10 +281,33 @@ def test_envelope_preserves_decryption(tmp_path):
     assert np.array_equal(cipher.decrypt_gh401(c, env2, AES), img)
 
 
-def test_envelope_skips_blank_lines():
-    env = _envelope(4)
-    lines = env.to_text().splitlines()
-    assert KeyEnvelope.from_text("\n".join([*lines[:3], "", *lines[3:], "  "])) == env
+# Each edit of a written envelope still holds every field value, but is not the
+# text the writer writes for them, so it must not parse.
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\nsystem=", "\n\nsystem="),
+    lambda t: t.replace("\nsystem=", "\n  \nsystem="),
+    lambda t: t.replace("\nn=4\n", "\nn=0_4\n"),
+    lambda t: t.replace("\nn=4\n", "\nn=\u0664\n"),
+    lambda t: t.replace("\nn=4\n", "\nn= 4 \n"),
+    lambda t: t.replace("\nn=4\n", "\nn=04\n"),
+    lambda t: t.replace("=f0e0d0c0b0a0", "=F0E0D0C0B0A0"),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t[:-1],
+    lambda t: t + t.splitlines(keepends=True)[-1],
+    lambda t: t.replace("\na=3.9900000000000002\n", "\na=3.99\n"),
+    lambda t: t.replace("\na=3.9900000000000002\n", "\na=1e300\n"),
+], ids=["blank-line", "space-line", "n-underscore", "n-arabic-indic", "n-spaced", "n-leading-zero",
+        "uppercase-hex", "crlf", "no-final-newline", "repeated-last-line", "a-short-real",
+        "a-1e300"])
+def test_envelope_rejects_text_to_text_never_writes(edit):
+    text = _envelope(4, whitening=bytes(range(0, 256, 16))[::-1]).to_text()
+    edited = edit(text)
+    assert edited != text
+    with pytest.raises(ValueError) as exc:
+        KeyEnvelope.from_text(edited)
+    # reals and the whitening key are key material: no value is echoed back
+    values = {line.partition("=")[2].strip() for line in edited.splitlines()} - {""}
+    assert not [v for v in values if v in str(exc.value)]
 
 
 def test_envelope_field_order_enforced():
@@ -418,6 +441,8 @@ def test_bandwidth_ratio():
     assert cipher.bandwidth_ratio(1, 1, 1) < 1  # degenerate, no clamping
     with pytest.raises(ValueError):
         cipher.bandwidth_ratio(0, 256, 1)
+    with pytest.raises(ValueError, match="at most 255, got 256"):
+        cipher.bandwidth_ratio(256, 256, 256)
 
 
 # ------------------------------------------------------ golden ciphertexts

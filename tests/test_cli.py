@@ -481,7 +481,7 @@ def _set_field(key, field, value):
 
 def test_cli_diverging_envelope_is_validation_error(tmp_path, capsys):
     enc, key = _gh401_envelope(tmp_path, "hosny6d")
-    _set_field(key, "a", "1e300")
+    _set_field(key, "a", f"{1e300:.17g}")
     capsys.readouterr()
     code = cli.main(["decrypt", str(enc), "--key", str(key), "--out", str(tmp_path / "d.pgm")])
     err = capsys.readouterr().err
@@ -542,6 +542,19 @@ def test_cli_envelope_unknown_system_is_validation_error(tmp_path, capsys, comma
     assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "unknown dynamical system 'nope'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["decrypt", "analyze"])
+def test_cli_envelope_not_as_written_is_validation_error(tmp_path, capsys, command):
+    # n=04 reads as the integer 4, but the writer writes n=4
+    _, key = _gh401_envelope(tmp_path, "reftestmap")
+    _set_field(key, "n", "04")
+    capsys.readouterr()
+    assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "not in the form its writer writes" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -2,7 +2,8 @@
 
 Both read key material from outside the program, so any input, as text
 or as the bytes of a key file, either parses or raises ``ValueError``
-(the CLI's exit 2), and serialize -> parse -> serialize is byte-exact.
+(the CLI's exit 2).  Both follow one contract: an input parses only if
+writing it back gives the same text or bytes.
 """
 
 import struct
@@ -96,7 +97,7 @@ def test_envelope_parser_raises_only_value_error(text):
         env = KeyEnvelope.from_text(text)
     except ValueError:
         return
-    assert KeyEnvelope.from_text(env.to_text()) == env
+    assert env.to_text() == text
 
 
 @SETTINGS
@@ -115,7 +116,7 @@ def test_envelope_bytes_parser_raises_only_value_error(data):
         env = KeyEnvelope.from_bytes(data)
     except ValueError:
         return
-    assert KeyEnvelope.from_bytes(env.to_bytes()) == env
+    assert env.to_bytes() == data
 
 
 @SETTINGS
