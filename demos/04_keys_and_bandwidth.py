@@ -35,6 +35,6 @@ for n in (2, 4, 8, 20):
 print()
 print("=== key space ===")
 print(f"baseline (12 reals at 16 decimal digits): {cipher.ieahf_key_space_bits():.2f} bits")
-for n in (1, 4):
+for n in (3, 4):
     print(f"hardened, n={n}: {cipher.key_space_bits(n):.2f} bits "
           "(reals + 128-bit whitening key + round count)")

@@ -105,13 +105,14 @@ def _crc32(img: np.ndarray) -> int:
 class SideChannelFile:
     """The SSX1 side file: per-round sorting vectors and image checksums in one table.
 
-    ``table`` holds one int64 row of width*height + 1 values per round:
-    the round's 0-based indices, then the CRC32 of the post-round image.
-    On disk: magic ``SSX1``, then rounds, width, height and the table,
-    all as 32-bit little-endian values.  Construction checks that there
-    are 1 to ``MAX_ROUNDS`` rounds, every round holds a bijection on
-    [0, width*height) and every checksum fits 32 bits, so serialization
-    and decryption need not.
+    ``table`` holds one row of width*height + 1 values per round: the
+    round's 0-based indices, then the CRC32 of the post-round image.  It
+    is held as the file's little-endian uint32 words.  On disk: magic
+    ``SSX1``, then rounds, width, height and the table, all as 32-bit
+    little-endian values; :meth:`from_bytes` returns the table as a
+    read-only view of those bytes.  Construction checks that there are 1
+    to ``MAX_ROUNDS`` rounds and every round holds a bijection on
+    [0, width*height), so serialization and decryption need not.
     """
 
     width: int
@@ -120,20 +121,16 @@ class SideChannelFile:
 
     def __post_init__(self):
         table = self.table
-        if not isinstance(table, np.ndarray) or table.dtype != np.int64 or table.ndim != 2:
-            raise ValueError("side-channel table must be a 2-D int64 array")
-        if not len(table):
-            raise ValueError("side-channel file must hold one permutation and checksum per round")
+        if not isinstance(table, np.ndarray) or table.dtype != np.dtype("<u4") or table.ndim != 2:
+            raise ValueError("side-channel table must be a 2-D little-endian uint32 array")
         check_rounds(SCHEME_IEAHF, len(table))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"side-channel file is for a {self.width}x{self.height} image")
         mn = self.width * self.height
         if table.shape[1] != mn + 1:
             raise ValueError(f"round permutations have {table.shape[1] - 1} entries, expected {mn}")
-        if table[:, -1].min() < 0 or table[:, -1].max() > 0xFFFFFFFF:
-            raise ValueError("side-channel checksums must lie in [0, 2**32)")
         for k, perm in enumerate(table[:, :-1], start=1):
-            if perm.min() < 0 or perm.max() >= mn:
+            if perm.max() >= mn:
                 raise ValueError(f"round {k} permutation has indices outside [0, {mn})")
             if np.bincount(perm, minlength=mn).max() != 1:
                 raise ValueError(f"round {k} permutation is not a bijection")
@@ -144,7 +141,7 @@ class SideChannelFile:
 
     def to_bytes(self) -> bytes:
         header = SS_MAGIC + struct.pack("<III", self.rounds, self.width, self.height)
-        return header + self.table.astype("<u4").tobytes()
+        return header + self.table.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
@@ -158,7 +155,7 @@ class SideChannelFile:
         if len(data) != expected:
             raise ValueError(f"side-channel file is {len(data)} bytes, expected {expected}")
         table = np.frombuffer(data, dtype="<u4", offset=16).reshape(rounds, mn + 1)
-        return cls(width=width, height=height, table=table.astype(np.int64))
+        return cls(width=width, height=height, table=table)
 
 
 @dataclass
@@ -234,7 +231,7 @@ class KeyEnvelope:
             try:
                 return convert(values[name])
             except ValueError:
-                raise ValueError(f"envelope field {name} is not {kind}: {values[name]!r}") from None
+                raise ValueError(f"envelope field {name} is not {kind}") from None
 
         reals = [parse(k, float, "a real number") for k in cls._REALS]
         env = cls(system=values["system"], ic=InitialConditions(*reals[:6]),
@@ -292,7 +289,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     check_rounds(SCHEME_IEAHF, n)
     h, w = img.shape
     cur = img
-    table = np.empty((n, img.size + 1), dtype=np.int64)
+    table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
         orbit = _orbit(system, derive_initial_conditions(cur), params, 1, cur.size)
         # no name keeps the sorted indices once they are copied into the table

@@ -575,7 +575,7 @@ def test_cli_ieahf_envelope_is_validation_error(tmp_path, capsys, command):
      "indices outside [0, 4)"),
     (b"SSX1\x01\x00", "shorter than its 16-byte header"),
     (b"SSX1" + struct.pack("<III", 1, 0, 2) + bytes(4), "for a 0x2 image"),
-    (b"SSX1" + struct.pack("<III", 0, 2, 2), "one permutation and checksum per round"),
+    (b"SSX1" + struct.pack("<III", 0, 2, 2), "IEAHF uses at least 1 round and at most 255, got 0"),
     (b"SSX1" + struct.pack("<III", 256, 2, 2) + struct.pack("<5I", 0, 1, 2, 3, 0) * 256,
      "IEAHF uses at least 1 round and at most 255, got 256"),
 ], ids=["index-out-of-range", "short-header", "empty-image", "no-rounds", "256-rounds"])

@@ -65,7 +65,7 @@ def side_channel_files(draw):
     width, height, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
     # one row per round: a permutation of the pixel indices, then a 32-bit checksum
     rows = [[*draw(st.permutations(range(width * height))), draw(u32)] for _ in range(rounds)]
-    return SideChannelFile(width=width, height=height, table=np.array(rows, dtype=np.int64))
+    return SideChannelFile(width=width, height=height, table=np.array(rows, dtype="<u4"))
 
 
 @st.composite
