@@ -37,6 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from gh401.chaos import (
+    WHITENING_KEY_BYTES,
     InitialConditions,
     SystemParams,
     argsort_ascending,
@@ -50,6 +51,7 @@ from gh401.chaos import (
     rows_for_sequence,
 )
 from gh401.diffuse import diffuse, inverse_diffuse
+from gh401.image_io import check_image
 from gh401.permute import invert_permute, permute
 from gh401.sbox import SBox8, substitute
 
@@ -63,6 +65,8 @@ DEFAULT_SYSTEM = "reftestmap"
 MAX_ROUNDS = 255
 
 SS_MAGIC = b"SSX1"
+# the SSX1 header: magic, rounds, width, height
+_SS_HEADER = struct.Struct("<4sIII")
 
 
 class CryptoMismatchError(Exception):
@@ -78,11 +82,7 @@ class EnvelopeMismatchError(CryptoMismatchError):
 
 
 def _validate_image(img) -> np.ndarray:
-    img = np.asarray(img)
-    if img.ndim != 2:
-        raise ValueError("expected a 2-D grayscale image")
-    if img.dtype != np.uint8:
-        raise ValueError(f"expected uint8 pixels, got {img.dtype}")
+    img = check_image(img)
     h, w = img.shape
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ValueError(f"image dimensions must be even and at least 2x2, got {h}x{w}")
@@ -140,21 +140,21 @@ class SideChannelFile:
         return len(self.table)
 
     def to_bytes(self) -> bytes:
-        header = SS_MAGIC + struct.pack("<III", self.rounds, self.width, self.height)
-        return header + self.table.tobytes()
+        return _SS_HEADER.pack(SS_MAGIC, self.rounds, self.width, self.height) + self.table.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
-        if len(data) < 16:
-            raise ValueError(f"side-channel file is {len(data)} bytes, shorter than its 16-byte header")
-        if data[:4] != SS_MAGIC:
+        size = _SS_HEADER.size
+        if len(data) < size:
+            raise ValueError(f"side-channel file is {len(data)} bytes, shorter than its {size}-byte header")
+        magic, rounds, width, height = _SS_HEADER.unpack_from(data)
+        if magic != SS_MAGIC:
             raise ValueError("not a side-channel file (bad magic)")
-        rounds, width, height = struct.unpack_from("<III", data, 4)
         mn = width * height
-        expected = 16 + rounds * (4 * mn + 4)
+        expected = size + rounds * (4 * mn + 4)
         if len(data) != expected:
             raise ValueError(f"side-channel file is {len(data)} bytes, expected {expected}")
-        table = np.frombuffer(data, dtype="<u4", offset=16).reshape(rounds, mn + 1)
+        table = np.frombuffer(data, dtype="<u4", offset=size).reshape(rounds, mn + 1)
         return cls(width=width, height=height, table=table)
 
 
@@ -180,8 +180,8 @@ class KeyEnvelope:
 
     def __post_init__(self):
         check_rounds(self.scheme, self.n)
-        if len(self.whitening) != 16:
-            raise ValueError("GH401 envelopes carry a 16-byte whitening key")
+        if len(self.whitening) != WHITENING_KEY_BYTES:
+            raise ValueError(f"GH401 envelopes carry a {WHITENING_KEY_BYTES}-byte whitening key")
         if not self.sbox_name:
             raise ValueError("GH401 envelopes carry an S-box name")
         for label, name in (("system", self.system), ("S-box name", self.sbox_name)):
@@ -414,7 +414,7 @@ def _nominal_envelope_bytes() -> int:
     # strong S-box.
     env = KeyEnvelope(system="hosny6d", ic=initial_conditions_from_sum(0, 256 * 256),
                       params=default_params("hosny6d"), n=DEFAULT_ROUNDS[SCHEME_GH401],
-                      whitening=bytes(16), sbox_name="aes")
+                      whitening=bytes(WHITENING_KEY_BYTES), sbox_name="aes")
     return len(env.to_bytes())
 
 

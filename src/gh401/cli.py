@@ -23,7 +23,7 @@ import numpy as np
 
 from gh401 import analysis, chaos, cipher
 from gh401.cipher import SCHEME_GH401, SCHEME_IEAHF
-from gh401.image_io import read_pgm, write_atomic, write_pgm
+from gh401.image_io import read_file, read_pgm, write_atomic, write_pgm
 from gh401.sbox import BUNDLED_SBOXES, bundled_sbox, load_sbox, transparency_order
 
 EXIT_OK = 0
@@ -125,8 +125,8 @@ def cmd_decrypt(args) -> int:
     sbox = _resolve_sbox(args.sbox) if args.key else None
     img = read_pgm(args.input)
     out = args.out or _default_out(args.input, ".dec.pgm")
-    with open(args.key or args.ss, "rb") as fh:
-        key = (cipher.KeyEnvelope if args.key else cipher.SideChannelFile).from_bytes(fh.read())
+    key_class = cipher.KeyEnvelope if args.key else cipher.SideChannelFile
+    key = read_file(args.key or args.ss, key_class.from_bytes, "key file")
     write_pgm(out, cipher.decrypt(img, key, sbox))
     print(f"plaintext: {out}")
     return EXIT_OK
@@ -144,8 +144,7 @@ def cmd_analyze(args) -> int:
     scheme = _scheme(args)
     _reject_unread_sbox(args, args.differential)
     if args.key:
-        with open(args.key, "rb") as fh:
-            env = cipher.KeyEnvelope.from_bytes(fh.read())
+        env = read_file(args.key, cipher.KeyEnvelope.from_bytes, "key file")
         _check_envelope_flags(args, env)
         sbox = _resolve_sbox(args.sbox)
         env.check_sbox(sbox)

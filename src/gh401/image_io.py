@@ -1,44 +1,43 @@
-"""Binary PGM (P5) reading and writing.
+"""Where files are read and written, and binary PGM (P5) images.
 
-The single supported interchange format: 8-bit grayscale, maxval 255.
-Header comments are accepted on read; writing emits the canonical
-three-line header.
+:func:`read_file` reads every input file and :func:`write_atomic` writes
+every output file.  PGM, the single supported image format, is 8-bit
+grayscale with maxval 255; header comments are accepted on read, and
+writing emits the canonical three-line header.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 
 import numpy as np
 
+# whitespace and '#' comments (each to the end of its line), then one header token
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
 
 def _next_token(data: bytes, pos: int):
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if match is None:
         raise ValueError("truncated PGM header")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM file into a 2-D uint8 array; a parse error names the file."""
+def read_file(path, parse, kind: str):
+    """``parse`` of the file's bytes; a ``ValueError`` from it becomes ``{kind} '{path}': {message}``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return _parse_pgm(data)
+        return parse(data)
     except ValueError as exc:
-        raise ValueError(f"image {os.fsdecode(path)!r}: {exc}") from None
+        raise ValueError(f"{kind} {os.fsdecode(path)!r}: {exc}") from None
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM file into a 2-D uint8 array."""
+    return read_file(path, _parse_pgm, "image")
 
 
 def _parse_pgm(data: bytes) -> np.ndarray:
@@ -77,10 +76,18 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def write_pgm(path, img: np.ndarray) -> None:
-    """Write a 2-D uint8 array as binary PGM, atomically."""
-    img = np.asarray(img, dtype=np.uint8)
+def check_image(img) -> np.ndarray:
+    """``img`` as an array; ``ValueError`` unless it is 2-D uint8, the only image PGM holds."""
+    img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
+    if img.dtype != np.uint8:
+        raise ValueError(f"expected uint8 pixels, got {img.dtype}")
+    return img
+
+
+def write_pgm(path, img: np.ndarray) -> None:
+    """Write a 2-D uint8 array as binary PGM, atomically."""
+    img = check_image(img)
     height, width = img.shape
     write_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii") + img.tobytes())

@@ -26,10 +26,10 @@ def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
 
 
 def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
-    """Exact left inverse of :func:`permute` with the same offset."""
+    """Exact left inverse of :func:`permute` with the same offset; ``s`` must be a permutation."""
     r = np.asarray(r, dtype=np.uint8)
     s = np.asarray(s)
     _check_lengths(r, s)
-    p = np.empty_like(r)
+    p = np.zeros_like(r)
     p[s] = r - np.uint8(offset % 256)
     return p

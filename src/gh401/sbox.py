@@ -28,6 +28,8 @@ from importlib import resources
 
 import numpy as np
 
+from gh401.image_io import read_file
+
 
 class SBox8:
     """Bijective byte substitution table with a precomputed inverse."""
@@ -64,23 +66,13 @@ def load_sbox(path) -> SBox8:
     path = os.fsdecode(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     if path.endswith(".txt"):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                tokens = fh.read().split()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"S-box file {path!r} is not UTF-8 text: {exc}") from None
-        values = []
-        for tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"S-box file {path!r} holds {tok!r}, not an integer") from None
+        def values(data):
+            return [int(tok) for tok in data.decode("utf-8").split()]
     elif path.endswith(".bin"):
-        with open(path, "rb") as fh:
-            values = list(fh.read())
+        values = list
     else:
         raise ValueError(f"unsupported S-box file extension: {path!r} (use .txt or .bin)")
-    return SBox8(values, name=stem)
+    return read_file(path, lambda data: SBox8(values(data), name=stem), "S-box file")
 
 
 BUNDLED_SBOXES = ("aes", "identity")

@@ -88,6 +88,9 @@ def test_npcr_uaci_symmetric():
 def test_npcr_uaci_shape_mismatch():
     with pytest.raises(ValueError, match="shapes"):
         npcr_uaci(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 6), dtype=np.uint8))
+    # these two shapes broadcast, so only the shape check refuses them
+    with pytest.raises(ValueError, match="shapes"):
+        npcr_uaci(np.zeros((4, 4), dtype=np.uint8), np.zeros((1, 4), dtype=np.uint8))
 
 
 def test_correlation_perfect_on_constant_rows():

@@ -415,6 +415,18 @@ def orbit_calls(monkeypatch):
     return calls
 
 
+def test_odd_image_is_rejected_before_any_orbit(orbit_calls):
+    _, env = cipher.encrypt_gh401(black(16), PARAMS, 3, AES)
+    orbit_calls.clear()
+    odd = np.zeros((15, 16), dtype=np.uint8)
+    for run in (lambda: cipher.encrypt_ieahf(odd, PARAMS, 2),
+                lambda: cipher.encrypt_gh401(odd, PARAMS, 3, AES),
+                lambda: cipher.decrypt_gh401(odd, env, AES)):
+        with pytest.raises(ValueError, match="even"):
+            run()
+    assert orbit_calls == []
+
+
 def test_dispatch_gh401_encrypt_without_sbox_generates_no_orbit(orbit_calls):
     with pytest.raises(TypeError, match="S-box"):
         cipher.encrypt(cipher.SCHEME_GH401, black(8), PARAMS)

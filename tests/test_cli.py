@@ -101,6 +101,13 @@ def test_pgm_write_rejects_1d_array(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_pgm_write_rejects_pixels_that_are_not_uint8(tmp_path):
+    # 300 would be written as 300 mod 256 = 44, which reads back as another image
+    with pytest.raises(ValueError, match="expected uint8 pixels, got int64"):
+        write_pgm(tmp_path / "wide.pgm", np.array([[300, 1], [2, 3]], dtype=np.int64))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- CLI
 
 def test_cli_gh401_file_roundtrip(tmp_path, rng):
@@ -568,6 +575,26 @@ def test_cli_ieahf_envelope_is_validation_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
     assert "scheme 'IEAHF'" in capsys.readouterr().err
+
+
+def test_cli_parse_error_names_the_kind_and_the_file(tmp_path, capsys):
+    enc, key = _gh401_envelope(tmp_path, "reftestmap")
+    ss, g04, sbox = tmp_path / "short.ss", tmp_path / "g04.key", tmp_path / "three.txt"
+    assert cli.main(["encrypt", str(tmp_path / "p.pgm"), "--scheme", "IEAHF",
+                     "--out", str(tmp_path / "i.pgm"), "--ss", str(ss)]) == 0
+    ss.write_bytes(ss.read_bytes()[:-4])
+    g04.write_text(key.read_text().replace("\nn=4\n", "\nn=04\n"))
+    sbox.write_text("0 1 2\n")
+    for flags, prefix in [
+            (["--key", str(g04)], f"key file {str(g04)!r}: envelope is not in the form"),
+            (["--ss", str(ss)], f"key file {str(ss)!r}: side-channel file is 532 bytes, expected 536"),
+            (["--key", str(key), "--sbox", str(sbox)],
+             f"S-box file {str(sbox)!r}: S-box must have exactly 256 entries, got 3")]:
+        capsys.readouterr()
+        out = tmp_path / "d.pgm"
+        assert cli.main(["decrypt", str(enc), *flags, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("blob, message", [

@@ -71,3 +71,12 @@ def test_roundtrip_property():
         k = int(rng.integers(1, 20))
         assert np.array_equal(invert_permute(permute(p, s, 0), s, 0), p)
         assert np.array_equal(invert_permute(permute(p, s, k), s, k), p)
+
+
+def test_invert_permute_leaves_unnamed_slots_zero():
+    # s is not a permutation: every index is 0, so slots 1..4095 are never written
+    r = np.full(4096, 7, dtype=np.uint8)
+    s = np.zeros(4096, dtype=np.int64)
+    first = invert_permute(r, s, 0)
+    assert first[0] == 7 and not first[1:].any()
+    assert np.array_equal(invert_permute(r, s, 0), first)

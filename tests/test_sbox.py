@@ -105,14 +105,14 @@ def test_load_sbox_length_error(tmp_path):
 def test_load_sbox_names_a_non_integer_token(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 x")
-    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt' holds 'x'"):
+    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt': invalid literal for int\(\) .*'x'"):
         load_sbox(path)
 
 
 def test_load_sbox_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"\xff\xfe 1 2")
-    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt' is not UTF-8 text: 'utf-8' codec"):
+    with pytest.raises(ValueError, match=r"S-box file '.*bad\.txt': 'utf-8' codec can't decode"):
         load_sbox(path)
 
 
