@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gh401.image_io import check_image
+
 # 0.99 quantile of the chi-square distribution with 255 degrees of
 # freedom; a uniform histogram passes when the statistic stays below it.
 CHI2_CRITICAL_255_001 = 310.457
@@ -28,8 +30,7 @@ class ZeroVarianceError(ValueError):
 
 def histogram(img: np.ndarray) -> np.ndarray:
     """Exact count of each gray level, 256 bins."""
-    img = np.asarray(img, dtype=np.uint8)
-    return np.bincount(img.reshape(-1), minlength=256)
+    return np.bincount(check_image(img).reshape(-1), minlength=256)
 
 
 def chi_square(img: np.ndarray) -> float:
@@ -50,8 +51,8 @@ def entropy(img: np.ndarray) -> float:
 
 def npcr_uaci(c1: np.ndarray, c2: np.ndarray):
     """Pixel change rate and mean absolute intensity change, as percentages."""
-    c1 = np.asarray(c1, dtype=np.uint8)
-    c2 = np.asarray(c2, dtype=np.uint8)
+    c1 = check_image(c1)
+    c2 = check_image(c2)
     if c1.shape != c2.shape:
         raise ValueError(f"image shapes differ: {c1.shape} vs {c2.shape}")
     npcr = 100.0 * np.count_nonzero(c1 != c2) / c1.size
@@ -78,7 +79,7 @@ def correlation(img: np.ndarray, direction: str,
     the population (1/N) normalization.  A constant margin makes the
     coefficient undefined and raises :class:`ZeroVarianceError`.
     """
-    img = np.asarray(img, dtype=np.uint8)
+    img = check_image(img)
     if pairs < 2:
         raise ValueError("need at least 2 pairs")
     xs, ys = _adjacent_arrays(img, direction)
@@ -128,7 +129,7 @@ def differential_test(encrypt_fn, img: np.ndarray, base_cipher: np.ndarray,
     """
     if trials < 1:
         raise ValueError("need at least 1 trial")
-    img = np.asarray(img, dtype=np.uint8)
+    img = check_image(img)
     npcr_sum = uaci_sum = 0.0
     best = (-1.0, 0.0, -1)
     for t in range(trials):
@@ -177,7 +178,7 @@ class AnalysisReport:
 def full_report(cipher: np.ndarray, plain: np.ndarray | None = None,
                 pairs: int = DEFAULT_CORRELATION_PAIRS, seed: int = 0) -> AnalysisReport:
     """Run every metric with one seed and collect the results."""
-    cipher = np.asarray(cipher, dtype=np.uint8)
+    cipher = check_image(cipher)
     h, w = cipher.shape
     available = min((w - 1) * h, (h - 1) * w, (h - 1) * (w - 1))
     if available < 2:

@@ -140,7 +140,9 @@ class SideChannelFile:
         return len(self.table)
 
     def to_bytes(self) -> bytes:
-        return _SS_HEADER.pack(SS_MAGIC, self.rounds, self.width, self.height) + self.table.tobytes()
+        # one copy: the header joined straight onto the table's own bytes
+        words = np.ascontiguousarray(self.table).data
+        return _SS_HEADER.pack(SS_MAGIC, self.rounds, self.width, self.height) + words
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SideChannelFile":
@@ -271,9 +273,14 @@ def _orbit(system: str, ic: InitialConditions, params: SystemParams, rounds: int
     return generate_orbit(get_system(system), ic, params, rounds * rows_for_sequence(mn))
 
 
+def _round_sequence(orbit: np.ndarray, k: int, mn: int) -> np.ndarray:
+    """Round k's sort sequence (k from 1), built from the orbit's k-th slice of rows."""
+    return build_sort_sequence(orbit[(k - 1) * rows_for_sequence(mn):], mn)
+
+
 def _round_permutation(orbit: np.ndarray, k: int, mn: int) -> np.ndarray:
-    """Round k's permutation (k from 1), sorted from the orbit's k-th slice of rows."""
-    return argsort_ascending(build_sort_sequence(orbit[(k - 1) * rows_for_sequence(mn):], mn))
+    """Round k's permutation: the ascending order of its sort sequence."""
+    return argsort_ascending(_round_sequence(orbit, k, mn))
 
 
 def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
@@ -291,9 +298,10 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     cur = img
     table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
-        orbit = _orbit(system, derive_initial_conditions(cur), params, 1, cur.size)
-        # no name keeps the sorted indices once they are copied into the table
-        row[:-1] = _round_permutation(orbit, 1, cur.size)
+        # no name holds a keystream buffer: the orbit (16 B/px) is freed before the
+        # sort, and the sequence and the sorted indices once they are in the table
+        row[:-1] = argsort_ascending(_round_sequence(
+            _orbit(system, derive_initial_conditions(cur), params, 1, cur.size), 1, cur.size))
         cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1]).reshape(h, w))
         row[-1] = _crc32(cur)
     return cur, SideChannelFile(width=w, height=h, table=table)

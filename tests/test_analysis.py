@@ -40,6 +40,34 @@ def test_histogram_sums_to_pixel_count():
     assert histogram(img).sum() == img.size
 
 
+WIDE = np.array([[300, 1], [2, 3]])  # int64; as uint8, 300 would count as 44
+U8 = WIDE.astype(np.uint8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: histogram(WIDE),
+    lambda: chi_square(WIDE),
+    lambda: entropy(WIDE),
+    lambda: npcr_uaci(WIDE, U8),
+    lambda: npcr_uaci(U8, WIDE),
+    lambda: correlation(WIDE, "H", pairs=2, seed=0),
+    lambda: full_report(np.tile(WIDE, (2, 2)), pairs=2),
+    lambda: full_report(np.tile(U8, (2, 2)), np.tile(WIDE, (2, 2)), pairs=2),
+    lambda: differential_test(lambda im: im, WIDE, U8, trials=1, seed=0),
+    lambda: differential_test(lambda im: im, U8, WIDE, trials=1, seed=0),
+], ids=["histogram", "chi_square", "entropy", "npcr_uaci-first", "npcr_uaci-second",
+        "correlation", "full_report-cipher", "full_report-plain",
+        "differential_test-image", "differential_test-base"])
+def test_metrics_refuse_non_uint8_images(call):
+    with pytest.raises(ValueError, match="expected uint8 pixels, got int64"):
+        call()
+
+
+def test_metrics_refuse_non_2d_images():
+    with pytest.raises(ValueError, match="expected a 2-D grayscale image"):
+        histogram(np.zeros(16, dtype=np.uint8))
+
+
 def test_chi_square_constant_256():
     img = np.full((256, 256), 128, dtype=np.uint8)
     assert chi_square(img) == 16711680.0

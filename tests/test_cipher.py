@@ -1,6 +1,7 @@
 """Pipelines, key envelopes, side-channel file, key-space arithmetic."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,44 @@ def test_ieahf_round_count_is_capped_before_any_allocation(monkeypatch, n):
     monkeypatch.setattr(cipher, "generate_orbit", None)
     with pytest.raises(ValueError, match="IEAHF uses at least 1 round and at most 255"):
         cipher.encrypt_ieahf(black(8), PARAMS, n)
+
+
+# ---------------------------------------------------------------- memory
+
+def _traced_peak(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_ieahf_frees_each_round_orbit_before_its_sort(n):
+    # A round's orbit (16 B/px) is last read when its sort sequence is built.
+    # Held through the sort, it sits beside the sequence, the sort order and
+    # the sorted keys (8 B/px each) and the peak passes this bound.
+    img = random_image(np.random.default_rng(21), 256, 256)
+    mn = img.size
+    orbit_bytes = (chaos.TRANSIENT_LENGTH + chaos.rows_for_sequence(mn)) * 6 * 8
+    table_bytes = n * (mn + 1) * 4
+    assert _traced_peak(cipher.encrypt_ieahf, img, PARAMS, n) < orbit_bytes + table_bytes + 16 * mn
+
+
+def test_side_file_encodes_with_one_copy_of_its_table():
+    mn = 256 * 256
+    row = np.append(np.arange(mn), 0).astype("<u4")
+    side = SideChannelFile(width=256, height=256, table=np.tile(row, (4, 1)))
+    header = b"SSX1" + np.array([4, 256, 256], dtype="<u4").tobytes()
+    assert side.to_bytes() == header + side.table.tobytes()
+    assert _traced_peak(side.to_bytes) < 1.5 * side.table.nbytes
+    # a table in another memory order still writes its rows in file order
+    fortran = SideChannelFile(width=256, height=256, table=np.asfortranarray(side.table))
+    assert fortran.to_bytes() == side.to_bytes()
 
 
 # ---------------------------------------------------------------- GH401
