@@ -278,21 +278,25 @@ def draw_params(system_name: str, seed: int) -> SystemParams:
 
 
 def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
-                   params: SystemParams, length: int) -> np.ndarray:
-    """Iterate ``TRANSIENT_LENGTH + length`` times and keep the tail.
+                   params: SystemParams, length: int, *,
+                   transient: int = TRANSIENT_LENGTH) -> np.ndarray:
+    """Iterate ``transient + length`` times and keep the tail.
 
     Returns a (length, 6) float64 array, column j holding state variable
     j+1.  Raises :class:`OrbitDivergenceError` naming the first bad
-    iteration, transient included, and its first non-finite variable if
-    the trajectory leaves the finite floats.
+    iteration of this call, transient included, and its first non-finite
+    variable if the trajectory leaves the finite floats.  ``transient`` is
+    ``TRANSIENT_LENGTH`` except where an orbit is continued from its last
+    row, which needs none: the continued rows are bit for bit those one
+    longer call would give.
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
-    full = system.iterate(ic.as_tuple(), params, TRANSIENT_LENGTH + length)
+    full = system.iterate(ic.as_tuple(), params, transient + length)
     if not np.isfinite(full).all():
         row, col = np.argwhere(~np.isfinite(full))[0]
         raise OrbitDivergenceError(int(row), f"x{col + 1}")
-    return full[TRANSIENT_LENGTH:]
+    return full[transient:]
 
 
 def rows_for_sequence(mn: int) -> int:
@@ -335,7 +339,7 @@ def argsort_ascending(values: np.ndarray) -> np.ndarray:
 
 
 WHITENING_KEY_BYTES = 16
-_WHITENING_ROWS = 6
+WHITENING_ROWS = 6
 
 
 def derive_whitening_key(orbit: np.ndarray) -> bytes:
@@ -345,9 +349,9 @@ def derive_whitening_key(orbit: np.ndarray) -> bytes:
     order, maps each value v to floor(frac(|v|) * 2^56) mod 256, and keeps
     the first 16 bytes.
     """
-    if orbit.shape[0] < _WHITENING_ROWS:
-        raise ValueError(f"orbit too short for whitening key: {orbit.shape[0]} rows, need {_WHITENING_ROWS}")
-    values = orbit[:_WHITENING_ROWS, [1, 3, 5]].ravel()
+    if orbit.shape[0] < WHITENING_ROWS:
+        raise ValueError(f"orbit too short for whitening key: {orbit.shape[0]} rows, need {WHITENING_ROWS}")
+    values = orbit[:WHITENING_ROWS, [1, 3, 5]].ravel()
     out = bytearray()
     for v in values[:WHITENING_KEY_BYTES]:
         out.append(int(abs(float(v)) % 1.0 * 2.0**56) % 256)

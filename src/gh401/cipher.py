@@ -10,7 +10,11 @@ IEAHF (baseline)
 
 GH401 (hardened)
     The orbit seeds are derived once from the plaintext and every round
-    consumes a disjoint slice of one long orbit.  Per round k: XOR the
+    consumes a disjoint slice of one long orbit.  The orbit is made one
+    round's slice at a time, each slice continuing from the last row of
+    the one before; a slice is freed before it is sorted into its round's
+    row of a uint32 permutation table, so one is held at a time, in
+    encryption and decryption alike.  Per round k: XOR the
     128-bit whitening key cyclically into the pixel vector, permute with
     the round offset k, apply the incremented Q-matrix diffusion, then
     the S-box.  Decryption needs only the compact key envelope, which
@@ -37,8 +41,11 @@ from typing import ClassVar
 import numpy as np
 
 from gh401.chaos import (
+    TRANSIENT_LENGTH,
     WHITENING_KEY_BYTES,
+    WHITENING_ROWS,
     InitialConditions,
+    OrbitDivergenceError,
     SystemParams,
     argsort_ascending,
     build_sort_sequence,
@@ -267,20 +274,39 @@ def diffuse_gh401(img: np.ndarray) -> np.ndarray:
     return diffuse(img, 1)
 
 
-def _orbit(system: str, ic: InitialConditions, params: SystemParams, rounds: int,
-           mn: int) -> np.ndarray:
-    """The orbit that keys ``rounds`` rounds of an ``mn``-pixel image."""
-    return generate_orbit(get_system(system), ic, params, rounds * rows_for_sequence(mn))
+def _keystream(table: np.ndarray, system: str, ic: InitialConditions,
+               params: SystemParams) -> np.ndarray:
+    """Fill ``table`` with one round's permutation per row; return the orbit's first rows.
 
-
-def _round_sequence(orbit: np.ndarray, k: int, mn: int) -> np.ndarray:
-    """Round k's sort sequence (k from 1), built from the orbit's k-th slice of rows."""
-    return build_sort_sequence(orbit[(k - 1) * rows_for_sequence(mn):], mn)
-
-
-def _round_permutation(orbit: np.ndarray, k: int, mn: int) -> np.ndarray:
-    """Round k's permutation: the ascending order of its sort sequence."""
-    return argsort_ascending(_round_sequence(orbit, k, mn))
+    Row k of the (rounds, mn) table is the ascending order of the sort
+    sequence built from the k-th slice of ``rows_for_sequence(mn)`` orbit
+    rows.  Each slice is its own :func:`generate_orbit` call: the first
+    one runs the transient, every later one continues from the last row
+    of the slice before, which gives bit for bit the rows of one long
+    call.  A slice (16 B/px) is freed before its sort, so one is held at
+    a time.  A divergence names its row in the full trajectory.  The
+    returned rows, the first ``WHITENING_ROWS`` of the orbit, may span
+    several slices of a small image.
+    """
+    mn = table.shape[1]
+    rows = rows_for_sequence(mn)
+    dynamics = get_system(system)
+    head = np.empty((0, 6))
+    # the state each slice starts from, its transient, and its first row in the full trajectory
+    state, transient, start = ic, TRANSIENT_LENGTH, 0
+    for row in table:
+        try:
+            orbit = generate_orbit(dynamics, state, params, rows, transient=transient)
+        except OrbitDivergenceError as exc:
+            raise OrbitDivergenceError(start + exc.step, exc.variable) from None
+        head = np.concatenate([head, orbit[:WHITENING_ROWS - len(head)]])
+        state, transient, start = InitialConditions(*orbit[-1]), 0, start + transient + rows
+        # the slice goes before its sort, the sequence before the next slice
+        seq = build_sort_sequence(orbit, mn)
+        del orbit
+        row[:] = argsort_ascending(seq)
+        del seq
+    return head
 
 
 def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
@@ -298,10 +324,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     cur = img
     table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
-        # no name holds a keystream buffer: the orbit (16 B/px) is freed before the
-        # sort, and the sequence and the sorted indices once they are in the table
-        row[:-1] = argsort_ascending(_round_sequence(
-            _orbit(system, derive_initial_conditions(cur), params, 1, cur.size), 1, cur.size))
+        _keystream(row[None, :-1], system, derive_initial_conditions(cur), params)
         cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1]).reshape(h, w))
         row[-1] = _crc32(cur)
     return cur, SideChannelFile(width=w, height=h, table=table)
@@ -344,13 +367,13 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
     _require_sbox(sbox)
     h, w = img.shape
     ic = derive_initial_conditions(img)
-    orbit = _orbit(system, ic, params, n, img.size)
-    whitening = derive_whitening_key(orbit)
+    table = np.empty((n, img.size), dtype=np.uint32)
+    whitening = derive_whitening_key(_keystream(table, system, ic, params))
     mask = _whitening_mask(whitening, img.size)
     cur = img.reshape(-1)
-    for k in range(1, n + 1):
+    for k, perm in enumerate(table, start=1):
         cur = cur ^ mask
-        cur = permute_gh401(cur, _round_permutation(orbit, k, img.size), k)
+        cur = permute_gh401(cur, perm, k)
         cur = diffuse_gh401(cur.reshape(h, w)).reshape(-1)
         cur = substitute(cur, sbox)
     env = KeyEnvelope(system=system, ic=ic, params=params, n=n,
@@ -359,18 +382,19 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
 
 
 def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarray:
-    """Regenerate the orbit from the envelope and invert the rounds."""
+    """Rebuild the permutations from the envelope and invert the rounds."""
     cipher = _validate_image(cipher)
     _require_sbox(sbox)
     env.check_sbox(sbox)
     h, w = cipher.shape
-    orbit = _orbit(env.system, env.ic, env.params, env.n, cipher.size)
+    table = np.empty((env.n, cipher.size), dtype=np.uint32)
+    _keystream(table, env.system, env.ic, env.params)
     mask = _whitening_mask(env.whitening, cipher.size)
     cur = cipher.reshape(-1)
     for k in range(env.n, 0, -1):
         cur = substitute(cur, sbox, inverse=True)
         cur = inverse_diffuse(cur.reshape(h, w), 1).reshape(-1)
-        cur = invert_permute(cur, _round_permutation(orbit, k, cipher.size), k)
+        cur = invert_permute(cur, table[k - 1], k)
         cur = cur ^ mask
     return cur.reshape(h, w)
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gh401.image_io import check_pixels
+
 DIFFUSION_MATRIX = np.array([[89, 55], [55, 34]], dtype=np.int64)
 DIFFUSION_MATRIX_INV = np.array([[34, 201], [201, 89]], dtype=np.int64)
 
@@ -49,7 +51,7 @@ def _mix(img: np.ndarray, matrix: np.ndarray, bias: int) -> np.ndarray:
     if h % 2 or w % 2:
         raise ValueError(f"image dimensions must be even, got {h}x{w}")
     b = np.uint8(bias % 256)
-    x = img.astype(np.uint8, copy=False) + b
+    x = check_pixels(img) + b
     m = matrix.tolist()
     out = np.empty((h, w), dtype=np.uint8)
     for i, j in np.ndindex(2, 2):

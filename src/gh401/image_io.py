@@ -76,14 +76,20 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def check_pixels(pixels) -> np.ndarray:
+    """``pixels`` as an array; ``ValueError`` unless they are uint8, so no value wraps mod 256."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"expected uint8 pixels, got {pixels.dtype}")
+    return pixels
+
+
 def check_image(img) -> np.ndarray:
     """``img`` as an array; ``ValueError`` unless it is 2-D uint8, the only image PGM holds."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
-    if img.dtype != np.uint8:
-        raise ValueError(f"expected uint8 pixels, got {img.dtype}")
-    return img
+    return check_pixels(img)
 
 
 def write_pgm(path, img: np.ndarray) -> None:

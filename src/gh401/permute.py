@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gh401.image_io import check_pixels
+
 
 def _check_lengths(p: np.ndarray, s: np.ndarray) -> None:
     if p.shape != s.shape:
@@ -19,7 +21,7 @@ def _check_lengths(p: np.ndarray, s: np.ndarray) -> None:
 
 def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     """R[i] = (P[S[i]] + offset) mod 256."""
-    p = np.asarray(p, dtype=np.uint8)
+    p = check_pixels(p)
     s = np.asarray(s)
     _check_lengths(p, s)
     return p[s] + np.uint8(offset % 256)
@@ -27,7 +29,7 @@ def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
 
 def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     """Exact left inverse of :func:`permute` with the same offset; ``s`` must be a permutation."""
-    r = np.asarray(r, dtype=np.uint8)
+    r = check_pixels(r)
     s = np.asarray(s)
     _check_lengths(r, s)
     p = np.zeros_like(r)

@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from gh401.image_io import read_file
+from gh401.image_io import check_pixels, read_file
 
 
 class SBox8:
@@ -94,7 +94,7 @@ def bundled_sbox(name: str) -> SBox8:
 
 def substitute(img: np.ndarray, s: SBox8, inverse: bool = False) -> np.ndarray:
     """Replace every pixel v by table[v] (or inverse[v])."""
-    img = np.asarray(img, dtype=np.uint8)
+    img = check_pixels(img)
     lut = s.inverse if inverse else s.table
     return lut[img]
 

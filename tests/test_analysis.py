@@ -16,7 +16,7 @@ from gh401.analysis import (
     npcr_uaci,
     report_to_text,
 )
-from gh401.chaos import SystemParams
+from gh401.chaos import TRANSIENT_LENGTH, SystemParams
 from gh401.permute import permute
 from gh401.sbox import bundled_sbox
 
@@ -194,13 +194,15 @@ def test_differential_best_tracks_max_npcr():
 def test_white_differential_runs_on_two_keystreams(monkeypatch):
     # +1 wraps a 255 pixel to 0, so every trial plaintext of a white image
     # has the pixel sum 255*MN - 255 and the same seeds: the base encryption
-    # and the trials share two distinct orbits between them.
+    # and the trials share two distinct orbits between them.  Each keystream
+    # starts with the one orbit slice that runs the transient from the seeds.
     seeds = []
     generate_orbit = cipher.generate_orbit
 
-    def spy(system, ic, params, length):
-        seeds.append(ic.as_tuple())
-        return generate_orbit(system, ic, params, length)
+    def spy(system, ic, params, length, *, transient=TRANSIENT_LENGTH):
+        if transient:
+            seeds.append(ic.as_tuple())
+        return generate_orbit(system, ic, params, length, transient=transient)
 
     monkeypatch.setattr(cipher, "generate_orbit", spy)
     white = np.full((16, 16), 255, dtype=np.uint8)

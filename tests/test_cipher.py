@@ -1,5 +1,6 @@
 """Pipelines, key envelopes, side-channel file, key-space arithmetic."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -184,6 +185,24 @@ def test_ieahf_frees_each_round_orbit_before_its_sort(n):
     orbit_bytes = (chaos.TRANSIENT_LENGTH + chaos.rows_for_sequence(mn)) * 6 * 8
     table_bytes = n * (mn + 1) * 4
     assert _traced_peak(cipher.encrypt_ieahf, img, PARAMS, n) < orbit_bytes + table_bytes + 16 * mn
+
+
+@pytest.mark.parametrize("system", ["reftestmap", "hosny6d"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_gh401_holds_one_orbit_slice_at_a_time(system, n):
+    # The permutation table takes 4 B/px a round.  Each round's orbit slice
+    # (16 B/px) is freed before its sort, whose sequence, sort order and
+    # sorted keys take 8 B/px each.  A slice held through its sort passes
+    # this bound, and the whole n-round orbit (16*n B/px) passes it by far.
+    img = random_image(np.random.default_rng(7), 256, 256)
+    mn = img.size
+    params = chaos.draw_params(system, 3)
+    env = KeyEnvelope(system=system, ic=chaos.derive_initial_conditions(img), params=params,
+                      n=n, whitening=bytes(16), sbox_name="aes")
+    slice_bytes = (chaos.TRANSIENT_LENGTH + chaos.rows_for_sequence(mn)) * 6 * 8
+    bound = 4 * n * mn + slice_bytes + 16 * mn
+    assert _traced_peak(cipher.encrypt_gh401, img, params, n, AES, system) < bound
+    assert _traced_peak(cipher.decrypt_gh401, img, env, AES) < bound
 
 
 def test_side_file_encodes_with_one_copy_of_its_table():
@@ -503,6 +522,56 @@ def test_gh401_equal_sum_change_stays_within_its_footprint(system, n):
     # NPCR is 99.61%; 99% is about six standard errors below it at 4096 pixels.
     c_plus, _ = cipher.encrypt_gh401(plus_one, params, n, AES, system=system)
     assert npcr_uaci(c, c_plus)[0] > 99.0
+
+
+@pytest.mark.parametrize("system", ["reftestmap", "hosny6d"])
+@pytest.mark.parametrize("draw", [None, 3])
+@pytest.mark.parametrize("shape", [(10, 10), (2, 4)])
+def test_keystream_slices_are_one_orbit(monkeypatch, system, draw, shape):
+    # Each round's slice continues from the last row of the slice before, so
+    # the slices are bit for bit the rows of one call for every round.  At
+    # 10x10 a round takes 34 rows and leaves 2 values unused; at 2x4 it
+    # takes 3, so the whitening rows span two slices.
+    n = 5
+    img = random_image(np.random.default_rng(9), *shape)
+    mn, rows = img.size, chaos.rows_for_sequence(img.size)
+    params = chaos.default_params(system) if draw is None else chaos.draw_params(system, draw)
+    ic = chaos.derive_initial_conditions(img)
+    slices = []
+    generate = cipher.generate_orbit
+
+    def spy(*args, **kwargs):
+        slices.append(generate(*args, **kwargs))
+        return slices[-1]
+
+    monkeypatch.setattr(cipher, "generate_orbit", spy)
+    table = np.empty((n, mn), dtype=np.uint32)
+    head = cipher._keystream(table, system, ic, params)
+    orbit = chaos.generate_orbit(chaos.get_system(system), ic, params, n * rows)
+    assert [len(s) for s in slices] == [rows] * n
+    assert np.concatenate(slices).tobytes() == orbit.tobytes()
+    assert head.tobytes() == orbit[:chaos.WHITENING_ROWS].tobytes()
+    for k, perm in enumerate(table):
+        sequence = chaos.build_sort_sequence(orbit[k * rows:], mn)
+        assert np.array_equal(perm, chaos.argsort_ascending(sequence))
+
+
+@pytest.mark.parametrize("d", [11.5, 12.0, 12.5])
+def test_divergence_in_a_later_slice_names_its_full_trajectory_row(d):
+    # A positive d makes x4 grow until the flow overflows.  From this 8x8
+    # image's seeds these d keep the transient and round 1 finite and
+    # overflow in round 4, 3 or 2 of 4.
+    img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    n, rows = 4, chaos.rows_for_sequence(img.size)
+    params = dataclasses.replace(chaos.default_params("hosny6d"), d=d)
+    ic = chaos.derive_initial_conditions(img)
+    with pytest.raises(chaos.OrbitDivergenceError) as whole:
+        chaos.generate_orbit(chaos.get_system("hosny6d"), ic, params, n * rows)
+    assert whole.value.step >= chaos.TRANSIENT_LENGTH + rows
+    with pytest.raises(chaos.OrbitDivergenceError) as sliced:
+        cipher.encrypt_gh401(img, params, n, AES, system="hosny6d")
+    assert str(sliced.value) == str(whole.value)
+    assert (sliced.value.step, sliced.value.variable) == (whole.value.step, whole.value.variable)
 
 
 # ------------------------------------------------- key space / bandwidth

@@ -497,6 +497,25 @@ def test_cli_diverging_envelope_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_envelope_diverging_in_a_later_round_is_validation_error(tmp_path, capsys):
+    # With d = 12 this 8x8 image's 4-round hosny6d keystream stays finite
+    # through the transient and round 1, then overflows in a later round's
+    # slice; the error names the row of the whole trajectory.
+    enc, key = _gh401_envelope(tmp_path, "hosny6d")
+    _set_field(key, "d", "12")
+    env = cipher.KeyEnvelope.from_bytes(key.read_bytes())
+    rows = chaos.rows_for_sequence(64)
+    with pytest.raises(chaos.OrbitDivergenceError) as whole:
+        chaos.generate_orbit(chaos.get_system("hosny6d"), env.ic, env.params, env.n * rows)
+    assert whole.value.step >= chaos.TRANSIENT_LENGTH + rows
+    capsys.readouterr()
+    code = cli.main(["decrypt", str(enc), "--key", str(key), "--out", str(tmp_path / "d.pgm")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err == f"error: {whole.value}\n"
+    assert not (tmp_path / "d.pgm").exists()
+
+
 @pytest.mark.parametrize("system", ["hosny6d", "reftestmap"])
 def test_cli_nan_seed_envelope_is_validation_error(tmp_path, capsys, system):
     enc, key = _gh401_envelope(tmp_path, system)

@@ -121,3 +121,10 @@ def test_ieahf_is_linear_mod_256():
     lhs = diffuse(((x.astype(np.int64) + y) % 256).astype(np.uint8), 0)
     rhs = (diffuse(x, 0).astype(np.int64) + diffuse(y, 0)) % 256
     assert np.array_equal(lhs, rhs.astype(np.uint8))
+
+
+@pytest.mark.parametrize("stage", [diffuse, inverse_diffuse])
+def test_refuses_non_uint8_pixels(stage):
+    # 300 would wrap to 44 if the pixels were cast to uint8
+    with pytest.raises(ValueError, match="expected uint8 pixels, got int64"):
+        stage(np.array([[300, 1], [2, 3]], dtype=np.int64), 1)

@@ -80,3 +80,10 @@ def test_invert_permute_leaves_unnamed_slots_zero():
     first = invert_permute(r, s, 0)
     assert first[0] == 7 and not first[1:].any()
     assert np.array_equal(invert_permute(r, s, 0), first)
+
+
+@pytest.mark.parametrize("stage", [permute, invert_permute])
+def test_refuses_non_uint8_pixels(stage):
+    # 300 would wrap to 44 if the pixels were cast to uint8
+    with pytest.raises(ValueError, match="expected uint8 pixels, got int64"):
+        stage(np.array([300, 1], dtype=np.int64), np.array([0, 1]), 0)

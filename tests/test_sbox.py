@@ -72,6 +72,13 @@ def test_substitute_roundtrip():
     assert np.array_equal(substitute(substitute(img, s), s, inverse=True), img)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_substitute_refuses_non_uint8_pixels(inverse):
+    # 300 would wrap to 44 if the pixels were cast to uint8
+    with pytest.raises(ValueError, match="expected uint8 pixels, got int64"):
+        substitute(np.array([300, 1], dtype=np.int64), bundled_sbox("identity"), inverse=inverse)
+
+
 def test_substitution_permutes_histogram():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
