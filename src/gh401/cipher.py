@@ -57,10 +57,9 @@ from gh401.chaos import (
     initial_conditions_from_sum,
     rows_for_sequence,
 )
-from gh401.diffuse import diffuse, inverse_diffuse
-from gh401.image_io import check_image
-from gh401.permute import invert_permute, permute
+from gh401.image_io import check_blocks
 from gh401.sbox import SBox8, substitute
+from gh401.stages import check_permutation, diffuse, invert_permute, inverse_diffuse, permute
 
 SCHEME_IEAHF = "IEAHF"
 SCHEME_GH401 = "GH401"
@@ -86,14 +85,6 @@ class ChecksumMismatchError(CryptoMismatchError):
 
 class EnvelopeMismatchError(CryptoMismatchError):
     """Key envelope is inconsistent with the requested decryption."""
-
-
-def _validate_image(img) -> np.ndarray:
-    img = check_image(img)
-    h, w = img.shape
-    if h < 2 or w < 2 or h % 2 or w % 2:
-        raise ValueError(f"image dimensions must be even and at least 2x2, got {h}x{w}")
-    return img
 
 
 def check_rounds(scheme: str, n: int) -> None:
@@ -137,10 +128,7 @@ class SideChannelFile:
         if table.shape[1] != mn + 1:
             raise ValueError(f"round permutations have {table.shape[1] - 1} entries, expected {mn}")
         for k, perm in enumerate(table[:, :-1], start=1):
-            if perm.max() >= mn:
-                raise ValueError(f"round {k} permutation has indices outside [0, {mn})")
-            if np.bincount(perm, minlength=mn).max() != 1:
-                raise ValueError(f"round {k} permutation is not a bijection")
+            check_permutation(perm, f"round {k} permutation")
 
     @property
     def rounds(self) -> int:
@@ -318,7 +306,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     ``n`` is normally at least 2; single-round runs are accepted for the
     weakness demonstrations.
     """
-    img = _validate_image(img)
+    img = check_blocks(img)
     check_rounds(SCHEME_IEAHF, n)
     h, w = img.shape
     cur = img
@@ -332,7 +320,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
 
 def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
     """Invert the baseline rounds in reverse order using the stored vectors."""
-    cipher = _validate_image(cipher)
+    cipher = check_blocks(cipher)
     h, w = cipher.shape
     if (side.width, side.height) != (w, h):
         raise ChecksumMismatchError(
@@ -362,7 +350,7 @@ def _require_sbox(sbox) -> None:
 def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
                   system: str = DEFAULT_SYSTEM):
     """Hardened pipeline; returns (ciphertext, key envelope)."""
-    img = _validate_image(img)
+    img = check_blocks(img)
     check_rounds(SCHEME_GH401, n)
     _require_sbox(sbox)
     h, w = img.shape
@@ -383,7 +371,7 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
 
 def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarray:
     """Rebuild the permutations from the envelope and invert the rounds."""
-    cipher = _validate_image(cipher)
+    cipher = check_blocks(cipher)
     _require_sbox(sbox)
     env.check_sbox(sbox)
     h, w = cipher.shape

@@ -92,6 +92,15 @@ def check_image(img) -> np.ndarray:
     return check_pixels(img)
 
 
+def check_blocks(img) -> np.ndarray:
+    """``img`` as an array; ``ValueError`` unless it is a 2-D uint8 image of whole 2x2 blocks."""
+    img = check_image(img)
+    h, w = img.shape
+    if h < 2 or w < 2 or h % 2 or w % 2:
+        raise ValueError(f"image dimensions must be even and at least 2x2, got {h}x{w}")
+    return img
+
+
 def write_pgm(path, img: np.ndarray) -> None:
     """Write a 2-D uint8 array as binary PGM, atomically."""
     img = check_image(img)

@@ -29,6 +29,7 @@ from importlib import resources
 import numpy as np
 
 from gh401.image_io import check_pixels, read_file
+from gh401.stages import check_permutation
 
 
 class SBox8:
@@ -40,14 +41,7 @@ class SBox8:
             raise ValueError(f"S-box must have exactly 256 entries, got {table.size}")
         if table.min() < 0 or table.max() > 255:
             raise ValueError("S-box entries must be bytes in [0, 255]")
-        seen = np.full(256, -1, dtype=np.int64)
-        for idx, value in enumerate(table):
-            if seen[value] >= 0:
-                raise ValueError(
-                    f"S-box is not bijective: value {int(value)} appears at "
-                    f"indices {int(seen[value])} and {idx}"
-                )
-            seen[value] = idx
+        check_permutation(table, "S-box")
         self.table = table.astype(np.uint8)
         self.inverse = np.empty(256, dtype=np.uint8)
         self.inverse[self.table] = np.arange(256, dtype=np.uint8)
@@ -99,14 +93,14 @@ def substitute(img: np.ndarray, s: SBox8, inverse: bool = False) -> np.ndarray:
     return lut[img]
 
 
-def _autocorrelation(table: np.ndarray, n: int, m: int) -> np.ndarray:
-    """AC[j, a] = sum_x (-1)^(F_j(x) xor F_j(x xor a)), shape (m, 2^n)."""
+def _autocorrelation(table: np.ndarray, n: int) -> np.ndarray:
+    """AC[j, a] = sum_x (-1)^(F_j(x) xor F_j(x xor a)), shape (n, 2^n)."""
     size = 1 << n
     x = np.arange(size)
     # signs[j, x] = (-1)^(bit j of table[x])
-    signs = 1 - 2 * ((table[np.newaxis, :] >> np.arange(m)[:, np.newaxis]) & 1)
+    signs = 1 - 2 * ((table[np.newaxis, :] >> np.arange(n)[:, np.newaxis]) & 1)
     signs = signs.astype(np.int64)
-    ac = np.empty((m, size), dtype=np.int64)
+    ac = np.empty((n, size), dtype=np.int64)
     for a in range(size):
         ac[:, a] = (signs * signs[:, x ^ a]).sum(axis=1)
     return ac
@@ -125,16 +119,15 @@ def transparency_order(s) -> float:
         raise ValueError(f"table length must be a power of two in [2, 256], got {size}")
     if table.min() < 0 or table.max() >= size:
         raise ValueError("table entries out of range for its width")
-    m = n
-    ac = _autocorrelation(table.astype(np.int64), n, m)
+    ac = _autocorrelation(table.astype(np.int64), n)
 
-    betas = np.arange(1 << m)
-    beta_bits = (betas[:, np.newaxis] >> np.arange(m)[np.newaxis, :]) & 1
-    beta_signs = (1 - 2 * beta_bits).astype(np.int64)  # (2^m, m)
+    betas = np.arange(1 << n)
+    beta_bits = (betas[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1
+    beta_signs = (1 - 2 * beta_bits).astype(np.int64)  # (2^n, n)
     weights = beta_bits.sum(axis=1)
 
-    combined = beta_signs @ ac  # (2^m, 2^n)
+    combined = beta_signs @ ac  # (2^n, 2^n)
     inner = np.abs(combined)[:, 1:].sum(axis=1)  # exclude a = 0
     scale = 1.0 / (2.0 ** (2 * n) - 2.0**n)
-    values = np.abs(m - 2 * weights) - scale * inner
+    values = np.abs(n - 2 * weights) - scale * inner
     return float(values.max())

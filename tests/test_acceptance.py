@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gh401 import analysis, chaos, cipher, cli
-from gh401.diffuse import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, fib_q_power
+from gh401.stages import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, fib_q_power
 from gh401.image_io import write_pgm
 from gh401.sbox import bundled_sbox, transparency_order
 

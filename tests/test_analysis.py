@@ -17,7 +17,7 @@ from gh401.analysis import (
     report_to_text,
 )
 from gh401.chaos import TRANSIENT_LENGTH, SystemParams
-from gh401.permute import permute
+from gh401.stages import permute
 from gh401.sbox import bundled_sbox
 
 PARAMS = SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)

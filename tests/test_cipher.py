@@ -117,6 +117,11 @@ def test_side_channel_file_rejects_non_bijection():
     table = np.zeros((1, 17), dtype="<u4")
     with pytest.raises(ValueError, match="bijection"):
         SideChannelFile(width=4, height=4, table=table)
+    # the first repeated value is named with both of its indices
+    table[0, :16] = [3, 1, 2, 0, 5, 4, 7, 6, 9, 8, 11, 10, 13, 1, 15, 14]
+    with pytest.raises(ValueError, match=r"^round 1 permutation is not a bijection: "
+                                         r"value 1 appears at indices 1 and 13$"):
+        SideChannelFile(width=4, height=4, table=table)
 
 
 @pytest.mark.parametrize("img, message", [

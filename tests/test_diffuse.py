@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from gh401.diffuse import (
+from gh401.chaos import default_params
+from gh401.cipher import encrypt_gh401
+from gh401.sbox import bundled_sbox
+from gh401.stages import (
     DIFFUSION_MATRIX,
     DIFFUSION_MATRIX_INV,
     diffuse,
@@ -74,6 +77,13 @@ def test_odd_dimensions_rejected():
         diffuse(np.zeros((4, 5), dtype=np.uint8), 1)
     with pytest.raises(ValueError, match="even"):
         inverse_diffuse(np.zeros((5, 5), dtype=np.uint8), 0)
+    # an image with no block is rejected as the pipelines reject it, in the same words
+    empty = np.zeros((0, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="even") as stage:
+        diffuse(empty, 1)
+    with pytest.raises(ValueError) as pipeline:
+        encrypt_gh401(empty, default_params("reftestmap"), 4, bundled_sbox("identity"))
+    assert str(stage.value) == str(pipeline.value) == "image dimensions must be even and at least 2x2, got 0x4"
 
 
 def test_1d_array_rejected():

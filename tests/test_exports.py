@@ -1,5 +1,9 @@
 """The package's public export list."""
 
+import importlib
+import pkgutil
+import types
+
 import gh401
 
 
@@ -12,3 +16,12 @@ def test_all_is_unique_and_every_name_resolves():
 def test_forward_stages_are_exported_beside_their_inverses():
     assert {"permute", "invert_permute", "diffuse", "inverse_diffuse"} <= set(gh401.__all__)
     assert (gh401.permute, gh401.diffuse) == (gh401.cipher.permute, gh401.cipher.diffuse)
+
+
+def test_every_submodule_imports_as_a_module():
+    # `import gh401.<name> as m` binds the package attribute, which a function could shadow
+    names = [info.name for info in pkgutil.iter_modules(gh401.__path__)]
+    assert "cipher" in names
+    for name in names:
+        importlib.import_module(f"gh401.{name}")
+    assert [name for name in names if not isinstance(getattr(gh401, name), types.ModuleType)] == []

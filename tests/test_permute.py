@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gh401.cipher import permute_gh401
-from gh401.permute import invert_permute, permute
+from gh401.stages import invert_permute, permute
 
 
 def test_ieahf_definition():
