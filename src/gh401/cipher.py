@@ -185,6 +185,7 @@ class KeyEnvelope:
             # every field is one line of the text form, so a line break would not read back
             if name.splitlines() != [name]:
                 raise ValueError(f"envelope {label} {name!r} is not one line of text")
+        get_system(self.system)  # raises ValueError for an unknown system
 
     @property
     def rounds(self) -> int:
@@ -240,26 +241,10 @@ class KeyEnvelope:
         return env
 
 
-def permute_ieahf(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """IEAHF permutation: R[i] = P[S[i]]."""
-    return permute(p, s, 0)
-
-
-def permute_gh401(p: np.ndarray, s: np.ndarray, round_no: int) -> np.ndarray:
-    """GH401 permutation: R[i] = (P[S[i]] + round) mod 256, rounds numbered from 1."""
-    if round_no < 1:
-        raise ValueError("round number starts at 1")
-    return permute(p, s, round_no)
-
-
-def diffuse_ieahf(img: np.ndarray) -> np.ndarray:
-    """IEAHF diffusion: per 2x2 block, (B @ A) mod 256."""
-    return diffuse(img, 0)
-
-
-def diffuse_gh401(img: np.ndarray) -> np.ndarray:
-    """GH401 diffusion: per 2x2 block, ((B + 1) @ A + 1) mod 256."""
-    return diffuse(img, 1)
+# The pipelines call the forward stages through these names because perfbench/spans.py
+# traces each one as permute.forward or diffuse.forward.
+permute_ieahf = permute_gh401 = permute
+diffuse_ieahf = diffuse_gh401 = diffuse
 
 
 def _keystream(table: np.ndarray, system: str, ic: InitialConditions,
@@ -313,7 +298,7 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
         _keystream(row[None, :-1], system, derive_initial_conditions(cur), params)
-        cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1]).reshape(h, w))
+        cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1], 0).reshape(h, w), 0)
         row[-1] = _crc32(cur)
     return cur, SideChannelFile(width=w, height=h, table=table)
 
@@ -362,7 +347,7 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
     for k, perm in enumerate(table, start=1):
         cur = cur ^ mask
         cur = permute_gh401(cur, perm, k)
-        cur = diffuse_gh401(cur.reshape(h, w)).reshape(-1)
+        cur = diffuse_gh401(cur.reshape(h, w), 1).reshape(-1)
         cur = substitute(cur, sbox)
     env = KeyEnvelope(system=system, ic=ic, params=params, n=n,
                       whitening=whitening, sbox_name=sbox.name)

@@ -199,7 +199,8 @@ def test_gh401_holds_one_orbit_slice_at_a_time(system, n):
     # (16 B/px) is freed before its sort, whose sequence, sort order and
     # sorted keys take 8 B/px each.  A slice held through its sort passes
     # this bound, and the whole n-round orbit (16*n B/px) passes it by far.
-    img = random_image(np.random.default_rng(7), 256, 256)
+    # 128x128 keeps the traced hosny6d orbit loop short and still shows both.
+    img = random_image(np.random.default_rng(7), 128, 128)
     mn = img.size
     params = chaos.draw_params(system, 3)
     env = KeyEnvelope(system=system, ic=chaos.derive_initial_conditions(img), params=params,
@@ -436,6 +437,8 @@ def test_envelope_validation():
         _envelope(4, whitening=bytes(8))
     with pytest.raises(ValueError, match="S-box name"):
         _envelope(4, sbox_name="")
+    with pytest.raises(ValueError, match="unknown dynamical system 'nope'"):
+        _envelope(4, system="nope")
 
 
 # every boundary str.splitlines knows; the text form must read each name back as one line

@@ -567,7 +567,7 @@ def test_cli_envelope_unknown_system_is_validation_error(tmp_path, capsys, comma
     capsys.readouterr()
     assert _reads_envelope(tmp_path, command, key) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "unknown dynamical system 'nope'" in err
+    assert f"key file '{key}': unknown dynamical system 'nope'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -25,3 +25,12 @@ def test_every_submodule_imports_as_a_module():
     for name in names:
         importlib.import_module(f"gh401.{name}")
     assert [name for name in names if not isinstance(getattr(gh401, name), types.ModuleType)] == []
+
+
+def test_star_import_binds_exactly_all_and_no_module():
+    # __all__ is read from the package's globals, so nothing else pins what it leaves out
+    namespace = {}
+    exec("from gh401 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(gh401.__all__)
+    assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gh401.chaos import InitialConditions, SystemParams
+from gh401.chaos import InitialConditions, SystemParams, list_systems
 from gh401.cipher import MAX_ROUNDS, KeyEnvelope, SideChannelFile
 
 SETTINGS = settings(database=None, max_examples=200, deadline=None)
@@ -22,7 +22,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 names = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1)
 envelopes = st.builds(
     KeyEnvelope,
-    system=names,
+    system=st.sampled_from(list_systems()),
     ic=st.builds(InitialConditions, finite, finite, finite, finite, finite, finite),
     params=st.builds(SystemParams, finite, finite, finite, finite, finite, finite),
     n=st.integers(3, MAX_ROUNDS),
