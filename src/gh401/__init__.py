@@ -31,8 +31,7 @@ from gh401.sbox import SBox8, bundled_sbox, load_sbox, substitute, transparency_
 from gh401.cipher import (
     SCHEME_GH401,
     SCHEME_IEAHF,
-    ChecksumMismatchError,
-    EnvelopeMismatchError,
+    CryptoMismatchError,
     KeyEnvelope,
     SideChannelFile,
     bandwidth_ratio,

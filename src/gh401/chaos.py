@@ -44,8 +44,8 @@ TRANSIENT_LENGTH = 1000
 RK4_STEP = 0.001
 
 
-class OrbitDivergenceError(RuntimeError):
-    """Raised when the trajectory leaves the finite floats.
+class OrbitDivergenceError(ValueError):
+    """Raised when the trajectory leaves the finite floats: bad seeds or parameters.
 
     ``step`` is the 0-based row of the full trajectory, transient
     included, at which the state first stops being finite; ``variable``

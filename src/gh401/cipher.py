@@ -27,7 +27,8 @@ round number as offset and bias 1.  :func:`encrypt` and :func:`decrypt`
 are the one place that picks a pipeline and its default round count.
 
 Images are 2-D uint8 arrays with even dimensions, flattened row-major
-wherever the pipelines work on pixel vectors.
+wherever the pipelines work on pixel vectors.  Bad input raises
+``ValueError``; key material that does not match raises :class:`CryptoMismatchError`.
 """
 
 from __future__ import annotations
@@ -76,15 +77,7 @@ _SS_HEADER = struct.Struct("<4sIII")
 
 
 class CryptoMismatchError(Exception):
-    """Key material does not match the ciphertext it was offered for."""
-
-
-class ChecksumMismatchError(CryptoMismatchError):
-    """Side-channel file does not belong to this ciphertext."""
-
-
-class EnvelopeMismatchError(CryptoMismatchError):
-    """Key envelope is inconsistent with the requested decryption."""
+    """Key material does not belong to this ciphertext, or to this S-box."""
 
 
 def check_rounds(scheme: str, n: int) -> None:
@@ -192,9 +185,9 @@ class KeyEnvelope:
         return self.n
 
     def check_sbox(self, sbox: SBox8) -> None:
-        """Raise :class:`EnvelopeMismatchError` unless ``sbox`` is the one named here."""
+        """Raise :class:`CryptoMismatchError` unless ``sbox`` is the one named here."""
         if sbox.name != self.sbox_name:
-            raise EnvelopeMismatchError(
+            raise CryptoMismatchError(
                 f"envelope was made with S-box {self.sbox_name!r}, got {sbox.name!r}")
 
     _REALS = tuple(f.name for reals in (InitialConditions, SystemParams) for f in fields(reals))
@@ -308,12 +301,12 @@ def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
     cipher = check_blocks(cipher)
     h, w = cipher.shape
     if (side.width, side.height) != (w, h):
-        raise ChecksumMismatchError(
+        raise CryptoMismatchError(
             f"side-channel file is for {side.width}x{side.height}, image is {w}x{h}")
     cur = cipher
     for k in reversed(range(side.rounds)):
         if _crc32(cur) != side.table[k, -1]:
-            raise ChecksumMismatchError(
+            raise CryptoMismatchError(
                 f"round {k + 1} checksum mismatch: wrong side-channel file for this ciphertext")
         undiffused = inverse_diffuse(cur, 0)
         restored = invert_permute(undiffused.reshape(-1), side.table[k, :-1], 0)

@@ -36,13 +36,13 @@ class SBox8:
     """Bijective byte substitution table with a precomputed inverse."""
 
     def __init__(self, table, name: str = "custom"):
-        table = np.asarray(list(table), dtype=np.int64)
-        if table.size != 256:
-            raise ValueError(f"S-box must have exactly 256 entries, got {table.size}")
-        if table.min() < 0 or table.max() > 255:
-            raise ValueError("S-box entries must be bytes in [0, 255]")
-        check_permutation(table, "S-box")
-        self.table = table.astype(np.uint8)
+        try:  # list() first: bytes() of a numpy array would read its raw buffer
+            self.table = np.frombuffer(bytes(list(table)), np.uint8)
+        except ValueError:
+            raise ValueError("S-box entries must be bytes in [0, 255]") from None
+        if self.table.size != 256:
+            raise ValueError(f"S-box must have exactly 256 entries, got {self.table.size}")
+        check_permutation(self.table, "S-box")
         self.inverse = np.empty(256, dtype=np.uint8)
         self.inverse[self.table] = np.arange(256, dtype=np.uint8)
         self.name = name

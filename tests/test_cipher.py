@@ -9,12 +9,7 @@ import pytest
 
 from gh401 import chaos, cipher
 from gh401.analysis import npcr_uaci
-from gh401.cipher import (
-    ChecksumMismatchError,
-    EnvelopeMismatchError,
-    KeyEnvelope,
-    SideChannelFile,
-)
+from gh401.cipher import CryptoMismatchError, KeyEnvelope, SideChannelFile
 from gh401.sbox import bundled_sbox
 
 PARAMS = chaos.SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
@@ -72,7 +67,7 @@ def test_ieahf_reordered_side_file_fails_checksum():
     img = random_image(rng, 16, 16)
     c, side = cipher.encrypt_ieahf(img, PARAMS, 3)
     side.table[[0, 1]] = side.table[[1, 0]]
-    with pytest.raises(ChecksumMismatchError):
+    with pytest.raises(CryptoMismatchError):
         cipher.decrypt_ieahf(c, side)
 
 
@@ -81,7 +76,7 @@ def test_ieahf_wrong_image_fails_checksum():
     img = random_image(rng, 16, 16)
     _, side = cipher.encrypt_ieahf(img, PARAMS, 2)
     other, _ = cipher.encrypt_ieahf(random_image(rng, 16, 16), PARAMS, 2)
-    with pytest.raises(ChecksumMismatchError, match="checksum"):
+    with pytest.raises(CryptoMismatchError, match="checksum"):
         cipher.decrypt_ieahf(other, side)
 
 
@@ -314,7 +309,7 @@ def test_gh401_wrong_sbox_name():
     rng = np.random.default_rng(23)
     img = random_image(rng, 8, 8)
     c, env = cipher.encrypt_gh401(img, PARAMS, 4, AES)
-    with pytest.raises(EnvelopeMismatchError, match="S-box"):
+    with pytest.raises(CryptoMismatchError, match="S-box"):
         cipher.decrypt_gh401(c, env, bundled_sbox("identity"))
 
 

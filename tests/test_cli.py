@@ -763,6 +763,32 @@ def test_cli_analyze_reads_its_key_before_the_report(tmp_path, monkeypatch, flag
     assert reports == []
 
 
+def test_cli_analyze_differential_checks_the_image_before_the_report(tmp_path, capsys,
+                                                                     monkeypatch):
+    src = write_image(tmp_path / "odd.pgm", np.zeros((15, 16), dtype=np.uint8))
+    reports = []
+    monkeypatch.setattr(cli.analysis, "full_report", lambda *a, **k: reports.append(a))
+    assert cli.main(["analyze", src, "--differential", "--trials", "1"]) == cli.EXIT_VALIDATION
+    assert "image dimensions must be even and at least 2x2, got 15x16" in capsys.readouterr().err
+    assert reports == []
+
+
+def test_cli_decrypt_of_a_missing_image_is_io_error(tmp_path, capsys):
+    _, key = _gh401_envelope(tmp_path, "reftestmap")
+    missing = str(tmp_path / "missing.pgm")
+    capsys.readouterr()
+    assert cli.main(["decrypt", missing, "--key", str(key)]) == cli.EXIT_IO
+    assert missing in capsys.readouterr().err
+
+
+def test_cli_sbox_entry_beyond_a_byte_names_the_file(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text(" ".join(str(v) for v in [10**30, *range(1, 256)]))
+    assert cli.main(["sbox-eval", "--sbox", str(big)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: S-box file {str(big)!r}: S-box entries must be bytes in [0, 255]\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["encrypt", "--scheme", "IEAHF", "--rounds", "256"],
      "IEAHF uses at least 1 round and at most 255, got 256"),
@@ -771,8 +797,9 @@ def test_cli_analyze_reads_its_key_before_the_report(tmp_path, monkeypatch, flag
      "IEAHF uses at least 1 round and at most 255, got 256"),
     (["decrypt", "--key", "{dir}/missing.key", "--sbox", "x.xyz"],
      "unsupported S-box file extension"),
+    (["encrypt", "--rounds", "256"], "GH401 uses at least 3 rounds and at most 255, got 256"),
 ], ids=["encrypt-ieahf-rounds", "bench-gh401-rounds", "analyze-differential-ieahf-rounds",
-        "decrypt-sbox"])
+        "decrypt-sbox", "encrypt-gh401-rounds"])
 def test_cli_checks_its_settings_before_it_reads_a_file(tmp_path, capsys, monkeypatch, argv,
                                                         message):
     reads, reports = [], []

@@ -34,3 +34,13 @@ def test_star_import_binds_exactly_all_and_no_module():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(gh401.__all__)
     assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []
+
+
+def test_every_exported_exception_has_one_exit_code():
+    # cli.main maps CryptoMismatchError to exit 4 and ValueError to exit 2
+    errors = [value for value in map(gh401.__dict__.get, gh401.__all__)
+              if isinstance(value, type) and issubclass(value, BaseException)]
+    assert {"CryptoMismatchError", "OrbitDivergenceError", "ZeroVarianceError"} <= {
+        error.__name__ for error in errors}
+    assert [error for error in errors
+            if not issubclass(error, (ValueError, gh401.CryptoMismatchError))] == []

@@ -1,12 +1,14 @@
-"""Property tests for the two key parsers: GH401 envelopes and SSX1 side files.
+"""Property tests for the key-material parsers: GH401 envelopes, SSX1 files, S-box files.
 
-Both read key material from outside the program, so any input, as text
+Each reads key material from outside the program, so any input, as text
 or as the bytes of a key file, either parses or raises ``ValueError``
-(the CLI's exit 2).  Both follow one contract: an input parses only if
-writing it back gives the same text or bytes.
+(the CLI's exit 2).  The two key files follow one contract: an input
+parses only if writing it back gives the same text or bytes.
 """
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from gh401.chaos import InitialConditions, SystemParams, list_systems
 from gh401.cipher import MAX_ROUNDS, KeyEnvelope, SideChannelFile
+from gh401.sbox import load_sbox
 
 SETTINGS = settings(database=None, max_examples=200, deadline=None)
 
@@ -81,6 +84,29 @@ def ssx1_blobs(draw):
     return bytes(data)
 
 
+@st.composite
+def edited_sbox_texts(draw):
+    """A valid ``.txt`` S-box table with some tokens replaced, then raw byte-slice edits."""
+    tokens = [str(v) for v in draw(st.permutations(range(256)))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[k] = draw(st.integers().map(str) | st.floats().map(repr) | st.text(max_size=8))
+    data = " ".join(tokens).encode()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data = data[:i] + draw(st.binary(max_size=8)) + data[j:]
+    return data
+
+
+def load_sbox_file(data, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return load_sbox(path)
+
+
 @SETTINGS
 @given(envelopes)
 def test_envelope_serialize_parse_serialize_is_byte_exact(env):
@@ -134,3 +160,23 @@ def test_side_file_parser_raises_only_value_error(blob):
     except ValueError:
         return
     assert side.to_bytes() == blob
+
+
+@SETTINGS
+@given(edited_sbox_texts())
+def test_sbox_text_file_parser_raises_only_value_error(data):
+    try:
+        sbox = load_sbox_file(data, ".txt")
+    except ValueError:
+        return
+    assert sbox.table.tolist() == [int(token) for token in data.decode().split()]
+
+
+@SETTINGS
+@given(st.binary(max_size=300) | st.permutations(range(256)).map(bytes))
+def test_sbox_binary_file_parser_raises_only_value_error(data):
+    try:
+        sbox = load_sbox_file(data, ".bin")
+    except ValueError:
+        return
+    assert sbox.table.tobytes() == data

@@ -49,6 +49,12 @@ def test_out_of_range_rejected():
         SBox8(table)
 
 
+def test_float_entries_rejected():
+    # bytes() takes only integers, so 0.5 is refused, not truncated to 0
+    with pytest.raises(TypeError):
+        SBox8([0.5, *range(1, 256)])
+
+
 def test_inverse_property():
     s = bundled_sbox("aes")
     assert np.array_equal(s.inverse[s.table], np.arange(256))
