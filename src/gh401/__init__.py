@@ -25,8 +25,8 @@ from gh401.chaos import (
     get_system,
     list_systems,
 )
-from gh401.stages import (DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, diffuse, fib_q_power,
-                          inverse_diffuse, invert_permute, permute)
+from gh401.stages import (DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, diffuse, inverse_diffuse,
+                          invert_permute, permute)
 from gh401.sbox import SBox8, bundled_sbox, load_sbox, substitute, transparency_order
 from gh401.cipher import (
     SCHEME_GH401,
@@ -44,7 +44,6 @@ from gh401.cipher import (
 )
 from gh401.analysis import (
     CHI2_CRITICAL_255_001,
-    AnalysisReport,
     DifferentialResult,
     ZeroVarianceError,
     chi_square,
@@ -54,7 +53,6 @@ from gh401.analysis import (
     full_report,
     histogram,
     npcr_uaci,
-    report_to_text,
 )
 from gh401.image_io import read_pgm, write_pgm
 

@@ -2,9 +2,11 @@
 
 Histogram, Pearson chi-square uniformity statistic, Shannon entropy,
 NPCR/UACI differential metrics, adjacent-pixel correlation, the seeded
-differential-attack harness, and an aggregate report.  All sampling is
-driven by an explicit 64-bit seed recorded alongside the results, so any
-reported number can be recomputed bit-for-bit.
+differential-attack harness, and the reports.  A report is an ordered
+list of ``(key, value)`` pairs whose values are already in text form;
+:func:`key_value_text` prints one as ``key=value`` lines.  All sampling
+is driven by an explicit 64-bit seed recorded alongside the results, so
+any reported number can be recomputed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ class DifferentialResult:
     best_npcr: float
     best_uaci: float
     best_trial: int
-    trials: int
-    seed: int
 
 
 def differential_test(encrypt_fn, img: np.ndarray, base_cipher: np.ndarray,
@@ -144,40 +144,24 @@ def differential_test(encrypt_fn, img: np.ndarray, base_cipher: np.ndarray,
         uaci_sum += uaci
         if npcr > best[0]:
             best = (npcr, uaci, t)
-    return DifferentialResult(
-        mean_npcr=npcr_sum / trials,
-        mean_uaci=uaci_sum / trials,
-        best_npcr=best[0],
-        best_uaci=best[1],
-        best_trial=best[2],
-        trials=trials,
-        seed=seed,
-    )
+    return DifferentialResult(npcr_sum / trials, uaci_sum / trials, *best)
 
 
-@dataclass
-class AnalysisReport:
-    """All single-image metrics, plus pair metrics when a reference is given."""
-
-    width: int
-    height: int
-    histogram: np.ndarray
-    chi_square: float
-    chi_square_pass: bool
-    entropy: float
-    corr_h: float | None
-    corr_v: float | None
-    corr_d: float | None
-    zero_variance: bool
-    npcr: float | None
-    uaci: float | None
-    pairs: int
-    seed: int
+def differential_pairs(result: DifferentialResult) -> list[tuple[str, object]]:
+    """The harness's report as ordered ``(key, value)`` pairs, percentages with 6 decimals."""
+    return [("mean_npcr", f"{result.mean_npcr:.6f}"), ("mean_uaci", f"{result.mean_uaci:.6f}"),
+            ("best_npcr", f"{result.best_npcr:.6f}"), ("best_uaci", f"{result.best_uaci:.6f}"),
+            ("best_trial", result.best_trial)]
 
 
 def full_report(cipher: np.ndarray, plain: np.ndarray | None = None,
-                pairs: int = DEFAULT_CORRELATION_PAIRS, seed: int = 0) -> AnalysisReport:
-    """Run every metric with one seed and collect the results."""
+                pairs: int = DEFAULT_CORRELATION_PAIRS, seed: int = 0) -> list[tuple[str, object]]:
+    """Every metric with one seed, as ordered, unprefixed ``(key, value)`` pairs.
+
+    Values are text: percentages with 6 decimals, chi-square with 3,
+    correlations with 4 or ``undefined (zero variance)``, the histogram as
+    comma-joined counts.  NPCR/UACI against ``plain`` precede the histogram.
+    """
     cipher = check_image(cipher)
     h, w = cipher.shape
     available = min((w - 1) * h, (h - 1) * w, (h - 1) * (w - 1))
@@ -185,64 +169,25 @@ def full_report(cipher: np.ndarray, plain: np.ndarray | None = None,
         raise ValueError(f"image is {w}x{h}; correlation needs at least 2 adjacent "
                          "pixel pairs in each direction")
     pairs = min(pairs, available)
-    corr = {}
-    zero_variance = False
+    chi2 = chi_square(cipher)
+    report = [("width", w), ("height", h), ("entropy", f"{entropy(cipher):.6f}"),
+              ("chi_square", f"{chi2:.3f}"),
+              ("chi_square_pass", "true" if chi2 < CHI2_CRITICAL_255_001 else "false"),
+              ("chi_square_critical", CHI2_CRITICAL_255_001)]
     for direction in _DIRECTIONS:
         try:
-            corr[direction] = correlation(cipher, direction, pairs=pairs, seed=seed)
+            value = f"{correlation(cipher, direction, pairs=pairs, seed=seed):.4f}"
         except ZeroVarianceError:
-            corr[direction] = None
-            zero_variance = True
-    npcr = uaci = None
+            value = "undefined (zero variance)"
+        report.append((f"correlation.{direction.lower()}", value))
+    report += [("correlation.pairs", pairs), ("seed", seed)]
     if plain is not None:
         npcr, uaci = npcr_uaci(cipher, plain)
-    chi2 = chi_square(cipher)
-    return AnalysisReport(
-        width=w,
-        height=h,
-        histogram=histogram(cipher),
-        chi_square=chi2,
-        chi_square_pass=bool(chi2 < CHI2_CRITICAL_255_001),
-        entropy=entropy(cipher),
-        corr_h=corr["H"],
-        corr_v=corr["V"],
-        corr_d=corr["D"],
-        zero_variance=zero_variance,
-        npcr=npcr,
-        uaci=uaci,
-        pairs=pairs,
-        seed=seed,
-    )
-
-
-def _fmt_corr(value: float | None) -> str:
-    return "undefined (zero variance)" if value is None else f"{value:.4f}"
+        report += [("npcr", f"{npcr:.6f}"), ("uaci", f"{uaci:.6f}")]
+    report.append(("histogram", ",".join(map(str, histogram(cipher).tolist()))))
+    return report
 
 
 def key_value_text(pairs, prefix: str = "") -> str:
     """One ``prefix+key=value`` line per (key, value) pair, in order: every report's format."""
     return "".join(f"{prefix}{key}={value}\n" for key, value in pairs)
-
-
-def report_to_text(report: AnalysisReport, title: str = "analysis") -> str:
-    """Deterministic key=value rendering of a report.
-
-    Percentages carry 6 decimal places, correlations 4.
-    """
-    pairs = [
-        ("width", report.width),
-        ("height", report.height),
-        ("entropy", f"{report.entropy:.6f}"),
-        ("chi_square", f"{report.chi_square:.3f}"),
-        ("chi_square_pass", str(report.chi_square_pass).lower()),
-        ("chi_square_critical", CHI2_CRITICAL_255_001),
-        ("correlation.h", _fmt_corr(report.corr_h)),
-        ("correlation.v", _fmt_corr(report.corr_v)),
-        ("correlation.d", _fmt_corr(report.corr_d)),
-        ("correlation.pairs", report.pairs),
-        ("seed", report.seed),
-    ]
-    if report.npcr is not None:
-        pairs += [("npcr", f"{report.npcr:.6f}"), ("uaci", f"{report.uaci:.6f}")]
-    pairs.append(("histogram", ",".join(str(int(v)) for v in report.histogram)))
-    return key_value_text(pairs, prefix=f"{title}.")

@@ -92,7 +92,7 @@ def _crc32(img: np.ndarray) -> int:
     return zlib.crc32(img.tobytes()) & 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(frozen=True)
 class SideChannelFile:
     """The SSX1 side file: per-round sorting vectors and image checksums in one table.
 
@@ -103,7 +103,8 @@ class SideChannelFile:
     little-endian values; :meth:`from_bytes` returns the table as a
     read-only view of those bytes.  Construction checks that there are 1
     to ``MAX_ROUNDS`` rounds and every round holds a bijection on
-    [0, width*height), so serialization and decryption need not.
+    [0, width*height), so serialization and decryption need not; the
+    instance is frozen, so those checks hold for its life.
     """
 
     width: int
@@ -148,7 +149,7 @@ class SideChannelFile:
         return cls(width=width, height=height, table=table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeyEnvelope:
     """The full transmittable secret for one GH401 encryption.
 
@@ -157,6 +158,8 @@ class KeyEnvelope:
     system, x1..x6, a..e, r, n, whitening as 32 hex characters, and the
     S-box name, each line ending in a newline.  A text parses only if
     writing it back gives the same text, so one key has one file.
+    Construction checks every field, and the instance is frozen, so the
+    checks hold for its life.
     """
 
     scheme: ClassVar[str] = SCHEME_GH401

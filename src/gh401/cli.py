@@ -3,6 +3,8 @@
 Subcommands: encrypt, decrypt, analyze, compare, sbox-eval, bench.
 Images travel as binary PGM (P5, maxval 255); GH401 key envelopes as
 UTF-8 text files; IEAHF side-channel data as the binary SSX1 format.
+A run whose output names the same file as another output or an input
+exits 2 before it reads any file.
 
 Exit codes (stable), one exception type each in :func:`main`:
     0  success
@@ -98,17 +100,42 @@ def _default_out(input_path: str, suffix: str) -> str:
     return stem + suffix
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
+def _check_paths(args, outputs: dict) -> None:
+    """Raise ``ValueError`` when an output names the same file as another output or an input.
+
+    ``outputs`` maps a flag to the path the run writes; the inputs are the
+    file flags of ``args`` that are not outputs.  Called before any file
+    is read, so a refused run reads and writes nothing.
+    """
+    seen = [(flag, getattr(args, flag.lstrip("-"), None))
+            for flag in ("input", "--plain", "--key", "--ss") if flag not in outputs]
+    seen.append(("--sbox", None if args.sbox in BUNDLED_SBOXES else args.sbox))
+    for flag, path in outputs.items():
+        for other, other_path in seen:
+            if path and other_path and _same_file(path, other_path):
+                raise ValueError(f"{flag} {path!r} names the same file as {other} {other_path!r}")
+        seen.append((flag, path))
+
+
 def cmd_encrypt(args) -> int:
     scheme = _scheme(args)
     flag, other, label = (("ss", "key", "side-channel file") if scheme == SCHEME_IEAHF
                           else ("key", "ss", "key envelope"))
     if getattr(args, other):
         raise ValueError(f"{scheme} writes its key file to --{flag}, not --{other}")
+    out = args.out or _default_out(args.input, ".enc.pgm")
+    key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
+    _check_paths(args, {"--out": out, f"--{flag}": key_path})
     settings = _settings(scheme, args)
     img = read_pgm(args.input)
-    out = args.out or _default_out(args.input, ".enc.pgm")
     cipher_img, key = cipher.encrypt(scheme, img, *settings)
-    key_path = getattr(args, flag) or _default_out(args.input, "." + flag)
     data = key.to_bytes()
     write_pgm(out, cipher_img)
     write_atomic(key_path, data)
@@ -122,9 +149,10 @@ def cmd_decrypt(args) -> int:
         raise ValueError("decrypt takes exactly one of --key (GH401 envelope) "
                          "and --ss (IEAHF side-channel file)")
     _reject_unread_sbox(args, bool(args.key))
+    out = args.out or _default_out(args.input, ".dec.pgm")
+    _check_paths(args, {"--out": out})
     sbox = _resolve_sbox(args.sbox) if args.key else None
     img = read_pgm(args.input)
-    out = args.out or _default_out(args.input, ".dec.pgm")
     key_class = cipher.KeyEnvelope if args.key else cipher.SideChannelFile
     key = read_file(args.key or args.ss, key_class.from_bytes, "key file")
     write_pgm(out, cipher.decrypt(img, key, sbox))
@@ -143,6 +171,7 @@ def cmd_analyze(args) -> int:
                 raise ValueError(f"--{flag} is read only by --differential")
     scheme = _scheme(args)
     _reject_unread_sbox(args, args.differential)
+    _check_paths(args, {"--report": args.report})
     if args.key:
         env = read_file(args.key, cipher.KeyEnvelope.from_bytes, "key file")
         _check_envelope_flags(args, env)
@@ -155,17 +184,16 @@ def cmd_analyze(args) -> int:
     if args.differential:
         check_blocks(img)
     plain = read_pgm(args.plain) if args.plain else None
-    report = analysis.full_report(img, plain, pairs=args.pairs, seed=args.seed or 0)
-    text = analysis.report_to_text(report, title="image")
+    seed = args.seed or 0
+    text = analysis.key_value_text(analysis.full_report(img, plain, pairs=args.pairs, seed=seed),
+                                   prefix="image.")
     if args.differential:
+        trials = args.trials or DEFAULT_TRIALS
         encrypt_fn = _encrypt_fn(scheme, settings)
-        diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img),
-                                          args.trials or DEFAULT_TRIALS, args.seed or 0)
-        text += analysis.key_value_text([
-            ("scheme", scheme), ("trials", diff.trials), ("seed", diff.seed),
-            ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
-            ("best_npcr", f"{diff.best_npcr:.6f}"), ("best_uaci", f"{diff.best_uaci:.6f}"),
-            ("best_trial", diff.best_trial)], prefix="differential.")
+        diff = analysis.differential_test(encrypt_fn, img, encrypt_fn(img), trials, seed)
+        text += analysis.key_value_text(
+            [("scheme", scheme), ("trials", trials), ("seed", seed),
+             *analysis.differential_pairs(diff)], prefix="differential.")
     _emit(text, args.report)
     return EXIT_OK
 
@@ -174,6 +202,7 @@ def cmd_compare(args) -> int:
     """Both schemes on one image: per-scheme metrics plus differential means."""
     # One GH401 resolution serves both runs: cipher.encrypt ignores the S-box
     # for IEAHF, and GH401's 3..255 rounds lie inside IEAHF's 1..255.
+    _check_paths(args, {"--report": args.report})
     settings = _settings(SCHEME_GH401, args)
     img = read_pgm(args.input)
     seed = args.seed or 0
@@ -185,9 +214,10 @@ def cmd_compare(args) -> int:
         report = analysis.full_report(cipher_img, img, pairs=args.pairs, seed=seed)
         diff = analysis.differential_test(_encrypt_fn(scheme, settings), img, cipher_img,
                                           args.trials, seed)
-        sections.append(analysis.report_to_text(report, title=title) + analysis.key_value_text([
-            ("mean_npcr", f"{diff.mean_npcr:.6f}"), ("mean_uaci", f"{diff.mean_uaci:.6f}"),
-            ("best_npcr", f"{diff.best_npcr:.6f}")], prefix=f"{title}.differential."))
+        # the comparison keeps the two means and the best NPCR of each scheme
+        sections.append(analysis.key_value_text(report, prefix=f"{title}.")
+                        + analysis.key_value_text(analysis.differential_pairs(diff)[:3],
+                                                  prefix=f"{title}.differential."))
     header += [("system", _system(args)), ("trials", args.trials)]
     _emit("# informational comparison; third-party schemes are not implemented\n"
           + analysis.key_value_text(header, prefix="compare.") + "".join(sections), args.report)
@@ -195,6 +225,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sbox_eval(args) -> int:
+    _check_paths(args, {"--report": args.report})
     sbox = _resolve_sbox(args.sbox)
     _emit(analysis.key_value_text([
         ("name", sbox.name), ("bijective", "true"),
@@ -207,6 +238,7 @@ def cmd_sbox_eval(args) -> int:
 def cmd_bench(args) -> int:
     """Wall-clock timing; hardware-dependent, informational only."""
     scheme = _scheme(args)
+    _check_paths(args, {"--report": args.report})
     params, rounds, sbox, system = _settings(scheme, args)
     if args.input:
         img = read_pgm(args.input)

@@ -32,14 +32,19 @@ from gh401.image_io import check_pixels, read_file
 from gh401.stages import check_permutation
 
 
+def _byte_table(table) -> np.ndarray:
+    """``table``'s integer entries as a read-only uint8 array; ``ValueError`` outside [0, 255]."""
+    try:  # list() first: bytes() of a numpy array would read its raw buffer
+        return np.frombuffer(bytes(list(table)), np.uint8)
+    except ValueError:
+        raise ValueError("S-box entries must be bytes in [0, 255]") from None
+
+
 class SBox8:
     """Bijective byte substitution table with a precomputed inverse."""
 
     def __init__(self, table, name: str = "custom"):
-        try:  # list() first: bytes() of a numpy array would read its raw buffer
-            self.table = np.frombuffer(bytes(list(table)), np.uint8)
-        except ValueError:
-            raise ValueError("S-box entries must be bytes in [0, 255]") from None
+        self.table = _byte_table(table)
         if self.table.size != 256:
             raise ValueError(f"S-box must have exactly 256 entries, got {self.table.size}")
         check_permutation(self.table, "S-box")
@@ -54,14 +59,20 @@ class SBox8:
 def load_sbox(path) -> SBox8:
     """Read a validated S-box from a table file, named after the file's stem.
 
-    ``.txt`` holds 256 whitespace-separated decimal byte values, ``.bin``
-    holds 256 raw bytes.
+    ``.txt`` holds 256 whitespace-separated decimal byte values, each
+    written in ASCII digits only, ``.bin`` holds 256 raw bytes.
     """
     path = os.fsdecode(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     if path.endswith(".txt"):
+        def value(tok):
+            number = int(tok)  # int() also reads signs, underscores and non-ASCII digits
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"S-box entry {tok!r} is not written in ASCII decimal digits")
+            return number
+
         def values(data):
-            return [int(tok) for tok in data.decode("utf-8").split()]
+            return [value(tok) for tok in data.decode("utf-8").split()]
     elif path.endswith(".bin"):
         values = list
     else:
@@ -112,12 +123,12 @@ def transparency_order(s) -> float:
     Accepts an :class:`SBox8` or any table of length 2^n with n <= 8
     output bits (m = n), so small cases can be cross-checked exhaustively.
     """
-    table = s.table if isinstance(s, SBox8) else np.asarray(list(s), dtype=np.int64)
+    table = s.table if isinstance(s, SBox8) else _byte_table(s)
     size = table.size
     n = int(size).bit_length() - 1
     if size != 1 << n or n < 1 or n > 8:
         raise ValueError(f"table length must be a power of two in [2, 256], got {size}")
-    if table.min() < 0 or table.max() >= size:
+    if table.max() >= size:
         raise ValueError("table entries out of range for its width")
     ac = _autocorrelation(table.astype(np.int64), n)
 

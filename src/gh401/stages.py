@@ -77,19 +77,6 @@ def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     return p
 
 
-def fib_q_power(n: int):
-    """Q^n = [[F_{n+1}, F_n], [F_n, F_{n-1}]] with exact integers."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    f_prev, f_cur = 0, 1  # F_0, F_1
-    for _ in range(n):
-        f_prev, f_cur = f_cur, f_prev + f_cur
-    # now f_cur = F_{n+1}, f_prev = F_n
-    f_next, f_n = f_cur, f_prev
-    f_before = f_next - f_n  # F_{n-1}
-    return [[f_next, f_n], [f_n, f_before]]
-
-
 def _mix(img: np.ndarray, matrix: np.ndarray, bias: int) -> np.ndarray:
     """Per 2x2 block B: ((B + bias) @ matrix + bias) mod 256."""
     img = check_blocks(img)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from gh401 import analysis, chaos, cipher, cli
-from gh401.stages import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, fib_q_power
+from gh401.stages import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV
 from gh401.image_io import write_pgm
 from gh401.sbox import bundled_sbox, transparency_order
+from test_diffuse import fib_q_power
 
 PARAMS_399 = chaos.SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
 AES = bundled_sbox("aes")

@@ -14,7 +14,6 @@ from gh401.analysis import (
     full_report,
     histogram,
     npcr_uaci,
-    report_to_text,
 )
 from gh401.chaos import TRANSIENT_LENGTH, SystemParams
 from gh401.stages import permute
@@ -188,7 +187,7 @@ def test_differential_best_tracks_max_npcr():
     # pixel differs, so every trial scores the same tiny NPCR
     res = differential_test(lambda im: im, img, img, trials=4, seed=0)
     assert res.best_npcr == res.mean_npcr == pytest.approx(100.0 / 64)
-    assert res.trials == 4
+    assert res.best_trial == 0
 
 
 def test_white_differential_runs_on_two_keystreams(monkeypatch):
@@ -214,14 +213,13 @@ def test_white_differential_runs_on_two_keystreams(monkeypatch):
 
 def test_full_report_fields_and_zero_variance_flag():
     img = np.full((64, 64), 200, dtype=np.uint8)
-    report = full_report(img, pairs=500, seed=0)
-    assert report.zero_variance
-    assert report.corr_h is None and report.corr_v is None and report.corr_d is None
-    assert report.histogram.sum() == img.size
-    assert report.entropy == 0.0
-    assert not report.chi_square_pass
-    text = report_to_text(report)
-    assert "undefined (zero variance)" in text
+    report = dict(full_report(img, pairs=500, seed=0))
+    assert [report[f"correlation.{d}"] for d in "hvd"] == ["undefined (zero variance)"] * 3
+    counts = [int(v) for v in report["histogram"].split(",")]
+    assert len(counts) == 256 and counts[200] == sum(counts) == img.size
+    assert report["entropy"] == "0.000000"
+    assert report["chi_square_pass"] == "false"
+    assert "npcr" not in report
 
 
 def test_full_report_with_pair_metrics():
@@ -229,14 +227,15 @@ def test_full_report_with_pair_metrics():
     plain = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
     other = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
     report = full_report(other, plain, pairs=500, seed=3)
-    assert report.npcr is not None and report.uaci is not None
-    text = report_to_text(report, title="pair")
-    assert "pair.npcr=" in text and "pair.seed=3" in text
+    keys = [key for key, _ in report]
+    assert keys[-3:] == ["npcr", "uaci", "histogram"]
+    assert dict(report)["npcr"] == f"{npcr_uaci(other, plain)[0]:.6f}"
+    assert ("seed", 3) in report
 
 
 def test_report_text_deterministic():
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
-    a = report_to_text(full_report(img, pairs=400, seed=1))
-    b = report_to_text(full_report(img, pairs=400, seed=1))
+    a = analysis.key_value_text(full_report(img, pairs=400, seed=1))
+    b = analysis.key_value_text(full_report(img, pairs=400, seed=1))
     assert a == b

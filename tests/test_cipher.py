@@ -436,6 +436,14 @@ def test_envelope_validation():
         _envelope(4, system="nope")
 
 
+def test_key_material_cannot_be_changed_after_its_checks():
+    # the checks run only at construction, so an assignment would skip them
+    _, side = cipher.encrypt_ieahf(black(4), PARAMS, 1)
+    for key, field, value in ((_envelope(4), "n", 10**6), (side, "table", side.table[:, :1])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(key, field, value)
+
+
 # every boundary str.splitlines knows; the text form must read each name back as one line
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
                                  "\x85", "\u2028", "\u2029"])

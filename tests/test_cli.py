@@ -724,6 +724,38 @@ def test_cli_rejects_a_key_file_flag_it_would_ignore(tmp_path, capsys, monkeypat
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "{dir}/p.pgm", "--out", "{dir}/same.out", "--key", "{dir}/same.out"],
+    ["encrypt", "{dir}/p.pgm", "--scheme", "IEAHF", "--out", "{dir}/p.pgm"],
+    ["encrypt", "{dir}/p.key"],
+    ["decrypt", "{dir}/p.pgm", "--key", "{dir}/p.key", "--out", "{dir}/p.key"],
+    ["analyze", "{dir}/p.pgm", "--report", "{dir}/p.pgm"],
+    ["analyze", "{dir}/p.pgm", "--report", "{dir}/link.pgm"],
+    ["analyze", "{dir}/p.pgm", "--plain", "{dir}/q.pgm", "--report", "{dir}/new/../q.pgm"],
+    ["compare", "{dir}/p.pgm", "--sbox", "{dir}/t.txt", "--report", "{dir}/t.txt"],
+    ["sbox-eval", "--sbox", "{dir}/t.txt", "--report", "{dir}/t.txt"],
+    ["bench", "{dir}/p.pgm", "--report", "{dir}/p.pgm"],
+], ids=["encrypt-out-key", "encrypt-out-input", "encrypt-default-key-input", "decrypt-out-key",
+        "analyze-report-input", "analyze-report-link", "analyze-report-plain", "compare-report-sbox",
+        "sbox-eval-report-sbox", "bench-report-input"])
+def test_cli_refuses_an_output_that_names_another_path(tmp_path, capsys, monkeypatch, argv):
+    # samefile decides where both files exist (link.pgm is p.pgm), else the normalized path
+    src = write_image(tmp_path / "p.pgm", np.zeros((8, 8), dtype=np.uint8))
+    write_image(tmp_path / "q.pgm", np.zeros((8, 8), dtype=np.uint8))
+    (tmp_path / "link.pgm").symlink_to(src)
+    (tmp_path / "p.key").write_text("scheme=GH401\n")
+    (tmp_path / "t.txt").write_text(" ".join(map(str, range(256))))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    reads = []
+    monkeypatch.setattr(cli, "read_pgm", lambda path: reads.append(path))
+    code = cli.main([arg.format(dir=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert "names the same file as" in err and "Traceback" not in err
+    assert reads == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_cli_bench_draws_the_key_from_seed(monkeypatch, capsys):
     # With no input image, bench times a seeded random 256x256 image.
     seen = []
@@ -787,6 +819,18 @@ def test_cli_sbox_entry_beyond_a_byte_names_the_file(tmp_path, capsys):
     assert cli.main(["sbox-eval", "--sbox", str(big)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == f"error: S-box file {str(big)!r}: S-box entries must be bytes in [0, 255]\n"
+
+
+@pytest.mark.parametrize("token", ["0_0", "+1", "\u0662"], ids=["underscore", "sign", "arabic-indic"])
+def test_cli_sbox_entry_not_in_ascii_digits_names_the_file(tmp_path, capsys, token):
+    # int() reads each of these as its index, so the table would be the identity
+    tokens = [str(v) for v in range(256)]
+    tokens[int(token)] = token
+    table = tmp_path / "t.txt"
+    table.write_text(" ".join(tokens), encoding="utf-8")
+    assert cli.main(["sbox-eval", "--sbox", str(table)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: S-box file {str(table)!r}: S-box entry "
+                                       f"{token!r} is not written in ASCII decimal digits\n")
 
 
 @pytest.mark.parametrize("argv, message", [

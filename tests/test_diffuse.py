@@ -6,13 +6,20 @@ import pytest
 from gh401.chaos import default_params
 from gh401.cipher import encrypt_gh401
 from gh401.sbox import bundled_sbox
-from gh401.stages import (
-    DIFFUSION_MATRIX,
-    DIFFUSION_MATRIX_INV,
-    diffuse,
-    fib_q_power,
-    inverse_diffuse,
-)
+from gh401.stages import DIFFUSION_MATRIX, DIFFUSION_MATRIX_INV, diffuse, inverse_diffuse
+
+
+def fib_q_power(n: int):
+    """Q^n = [[F_{n+1}, F_n], [F_n, F_{n-1}]] with exact integers: the oracle for A = Q^10."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    f_prev, f_cur = 0, 1  # F_0, F_1
+    for _ in range(n):
+        f_prev, f_cur = f_cur, f_prev + f_cur
+    # now f_cur = F_{n+1}, f_prev = F_n
+    f_next, f_n = f_cur, f_prev
+    f_before = f_next - f_n  # F_{n-1}
+    return [[f_next, f_n], [f_n, f_before]]
 
 
 def test_fib_q_power_small():

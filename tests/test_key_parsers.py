@@ -169,7 +169,9 @@ def test_sbox_text_file_parser_raises_only_value_error(data):
         sbox = load_sbox_file(data, ".txt")
     except ValueError:
         return
-    assert sbox.table.tolist() == [int(token) for token in data.decode().split()]
+    tokens = data.decode().split()
+    assert all(token.isascii() and token.isdigit() for token in tokens)
+    assert sbox.table.tolist() == [int(token) for token in tokens]
 
 
 @SETTINGS

@@ -169,3 +169,11 @@ def test_transparency_order_bad_tables():
         transparency_order(list(range(12)))
     with pytest.raises(ValueError, match="range"):
         transparency_order([1, 2, 3, 9])
+
+
+@pytest.mark.parametrize("first, error", [(10**30, ValueError), (0.5, TypeError)],
+                         ids=["beyond-int64", "float"])
+def test_transparency_order_reads_a_raw_table_as_sbox8_does(first, error):
+    # an int64 conversion overflowed on 10**30 and truncated 0.5 to the identity's 0
+    with pytest.raises(error):
+        transparency_order([first, *range(1, 16)])
