@@ -104,12 +104,17 @@ class SideChannelFile:
     read-only view of those bytes.  Construction checks that there are 1
     to ``MAX_ROUNDS`` rounds and every round holds a bijection on
     [0, width*height), so serialization and decryption need not; the
-    instance is frozen, so those checks hold for its life.
+    instance is frozen, so those checks hold for its life.  Two side files
+    are equal when their width, height and table are (``np.array_equal``).
     """
 
     width: int
     height: int
     table: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, SideChannelFile) and self.width == other.width
+                and self.height == other.height and np.array_equal(self.table, other.table))
 
     def __post_init__(self):
         table = self.table

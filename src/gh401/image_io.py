@@ -98,6 +98,9 @@ def check_blocks(img) -> np.ndarray:
     h, w = img.shape
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ValueError(f"image dimensions must be even and at least 2x2, got {h}x{w}")
+    if h * w > 1 << 32:  # the ciphers' uint32 tables and SSX1's 32-bit words index each pixel
+        raise ValueError(f"image has {h * w} pixels, more than the 2^32 = {1 << 32} "
+                         "that 32-bit pixel indices can address")
     return img
 
 

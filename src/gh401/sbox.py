@@ -12,6 +12,9 @@ with n input and m output bits it is
 
 where F_j is the j-th coordinate function and wt the Hamming weight.  The
 result lies in [0, m]; lower values are reported as more DPA-resistant.
+The sums over x are the autocorrelations of the F_j: with H[u, x] =
+(-1)^(u . x) the Sylvester-Hadamard matrix and S[x, j] = (-1)^F_j(x), they
+are H @ (H @ S)^2 / 2^n, squared entrywise and exact in integers.
 
 Two tables ship with the package: the identity (for pipeline isolation
 tests) and the well-documented strong "aes" table stored under
@@ -104,19 +107,6 @@ def substitute(img: np.ndarray, s: SBox8, inverse: bool = False) -> np.ndarray:
     return lut[img]
 
 
-def _autocorrelation(table: np.ndarray, n: int) -> np.ndarray:
-    """AC[j, a] = sum_x (-1)^(F_j(x) xor F_j(x xor a)), shape (n, 2^n)."""
-    size = 1 << n
-    x = np.arange(size)
-    # signs[j, x] = (-1)^(bit j of table[x])
-    signs = 1 - 2 * ((table[np.newaxis, :] >> np.arange(n)[:, np.newaxis]) & 1)
-    signs = signs.astype(np.int64)
-    ac = np.empty((n, size), dtype=np.int64)
-    for a in range(size):
-        ac[:, a] = (signs * signs[:, x ^ a]).sum(axis=1)
-    return ac
-
-
 def transparency_order(s) -> float:
     """Transparency order of an S-box.
 
@@ -130,14 +120,15 @@ def transparency_order(s) -> float:
         raise ValueError(f"table length must be a power of two in [2, 256], got {size}")
     if table.max() >= size:
         raise ValueError("table entries out of range for its width")
-    ac = _autocorrelation(table.astype(np.int64), n)
+    # bits[v, j] = bit j of v; h[u, x] = (-1)^(u . x), the Sylvester-Hadamard matrix
+    bits = (np.arange(size)[:, np.newaxis] >> np.arange(n)) & 1
+    h = 1 - 2 * ((bits @ bits.T) & 1)
+    # ac[a, j] = sum_x (-1)^(F_j(x) xor F_j(x xor a)): the transform of the squared Walsh
+    # spectrum h @ S, S = (-1)^bits[table], is 2^n times it, so the shift divides exactly
+    ac = (h @ (h @ (1 - 2 * bits[table])) ** 2) >> n
+    weights = bits.sum(axis=1)
 
-    betas = np.arange(1 << n)
-    beta_bits = (betas[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1
-    beta_signs = (1 - 2 * beta_bits).astype(np.int64)  # (2^n, n)
-    weights = beta_bits.sum(axis=1)
-
-    combined = beta_signs @ ac  # (2^n, 2^n)
+    combined = (1 - 2 * bits) @ ac.T  # (2^n, 2^n)
     inner = np.abs(combined)[:, 1:].sum(axis=1)  # exclude a = 0
     scale = 1.0 / (2.0 ** (2 * n) - 2.0**n)
     values = np.abs(n - 2 * weights) - scale * inner

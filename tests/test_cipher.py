@@ -10,6 +10,7 @@ import pytest
 from gh401 import chaos, cipher
 from gh401.analysis import npcr_uaci
 from gh401.cipher import CryptoMismatchError, KeyEnvelope, SideChannelFile
+from gh401.image_io import check_blocks
 from gh401.sbox import bundled_sbox
 
 PARAMS = chaos.SystemParams(3.99, 3.99, 3.99, 3.99, 3.99, 3.99)
@@ -96,6 +97,17 @@ def test_side_channel_file_binary_roundtrip():
     # the parsed table is a view of the file's bytes, not a copy
     assert not parsed.table.flags.owndata
     assert np.array_equal(cipher.decrypt_ieahf(c, parsed), img)
+
+
+def test_side_channel_files_compare_by_size_and_table():
+    _, side = cipher.encrypt_ieahf(random_image(np.random.default_rng(15), 8, 10), PARAMS, 2)
+    assert side == SideChannelFile.from_bytes(side.to_bytes())
+    swapped = side.table.copy()
+    swapped[:, [0, 1]] = swapped[:, [1, 0]]
+    assert (side == SideChannelFile(width=10, height=8, table=swapped)) is False
+    # the same words read as a 10x8 image's
+    assert side != SideChannelFile(width=8, height=10, table=side.table)
+    assert side != side.to_bytes()
 
 
 def test_side_channel_file_bad_magic_and_size():
@@ -494,6 +506,25 @@ def test_odd_image_is_rejected_before_any_orbit(orbit_calls):
         with pytest.raises(ValueError, match="even"):
             run()
     assert orbit_calls == []
+
+
+def test_image_beyond_2_to_32_pixels_is_rejected_before_any_orbit(orbit_calls):
+    _, env = cipher.encrypt_gh401(black(16), PARAMS, 3, AES)
+    orbit_calls.clear()
+    # 2^32 + 4 pixels held in one byte; a uint32 table would store index 2^32 as 0
+    huge = np.broadcast_to(np.uint8(0), (2, 2**31 + 2))
+    for run in (lambda: cipher.encrypt_ieahf(huge, PARAMS, 2),
+                lambda: cipher.encrypt_gh401(huge, PARAMS, 3, AES),
+                lambda: cipher.decrypt_gh401(huge, env, AES)):
+        with pytest.raises(ValueError, match=r"^image has 4294967300 pixels, "
+                                             r"more than the 2\^32 = 4294967296 "):
+            run()
+    assert orbit_calls == []
+
+
+def test_image_of_2_to_32_pixels_passes_the_block_check():
+    img = np.broadcast_to(np.uint8(0), (2, 2**31))
+    assert check_blocks(img) is img
 
 
 def test_dispatch_gh401_encrypt_without_sbox_generates_no_orbit(orbit_calls):

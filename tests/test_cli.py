@@ -1,13 +1,18 @@
 """PGM I/O and the command-line front end."""
 
 import hashlib
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gh401 import chaos, cipher, cli
 from gh401.image_io import read_pgm, write_pgm
+from gh401.sbox import bundled_sbox
 
 
 def write_image(path, img):
@@ -871,3 +876,92 @@ def test_cli_analyze_names_an_image_too_small_for_correlation(tmp_path, capsys, 
     h, w = shape
     assert f"image is {w}x{h}; correlation needs at least 2 adjacent pixel pairs" in err
     assert "need at least 2 pairs" not in err
+
+
+# ---------------------------------------------------------------- argv property
+
+# One directory of small good and bad files per example; "@name" in a drawn argv names one.
+_PATHS = ("good.pgm", "odd.pgm", "truncated.pgm", "text.pgm", "good.key", "good.ss",
+          "corrupt.ss", "good.txt", "bad.txt", "good.bin", "folder", "missing")
+
+
+@pytest.fixture(scope="module")
+def argv_files():
+    img = np.random.default_rng(5).integers(0, 256, size=(8, 8)).astype(np.uint8)
+    params = chaos.default_params(cipher.DEFAULT_SYSTEM)
+    _, env = cipher.encrypt_gh401(img, params, 3, bundled_sbox("aes"))
+    _, side = cipher.encrypt_ieahf(img, params, 2)
+    ss = bytearray(side.to_bytes())
+    ss[-1] ^= 1  # the last round's checksum
+    return {"good.pgm": b"P5\n8 8\n255\n" + img.tobytes(),
+            "odd.pgm": b"P5\n7 8\n255\n" + bytes(56),
+            "truncated.pgm": b"P5\n8 8\n255\n" + bytes(10),
+            "text.pgm": b"not an image\n",
+            "good.key": env.to_bytes(),
+            "good.ss": side.to_bytes(),
+            "corrupt.ss": bytes(ss),
+            "good.txt": " ".join(map(str, bundled_sbox("aes").table)).encode(),
+            "bad.txt": b"1 2 x",
+            "good.bin": bytes(range(256))}
+
+
+def _argvs():
+    def pick(good, bad):  # about half the draws from each pool
+        return st.sampled_from(good) | st.sampled_from(bad)
+
+    def path(*good):
+        return pick(good or _PATHS, _PATHS).map(lambda name: "@" + name)
+
+    def flag(name, values):
+        return st.tuples(st.just(name), values)
+
+    image, out = path("good.pgm"), path("missing")
+    trials = flag("--trials", st.sampled_from(["1", "2"]))
+    sbox = flag("--sbox", pick(["aes", "identity", "@good.txt", "@good.bin"], ["x", "@bad.txt"])
+                | path())
+    common = [flag("--scheme", pick(["IEAHF", "GH401"], ["x"])),
+              flag("--system", pick(["reftestmap", "hosny6d"], ["x"])),
+              flag("--rounds", pick(["1", "3", "255"], ["0", "256", "x"])),
+              sbox,
+              flag("--seed", pick(["0", "1"], ["-1", "x"]))]
+    pairs = flag("--pairs", pick(["2", "100"], ["1", "x"]))
+    key, side = flag("--key", path("good.key")), flag("--ss", path("good.ss", "corrupt.ss"))
+    report = flag("--report", out)
+    # (required, optional) flags; a run that would default to 100 differential or
+    # timing trials always gets --trials
+    commands = {
+        "encrypt": ([], common + [flag("--out", out), flag("--key", out), flag("--ss", out)]),
+        "decrypt": ([key | side], [sbox, flag("--out", out), key, side]),
+        "analyze": ([], common + [pairs, trials, report, flag("--plain", image),
+                                  key, trials.map(lambda t: ("--differential", *t))]),
+        "compare": ([trials], common[1:] + [pairs, report]),
+        "sbox-eval": ([sbox], [report]),
+        "bench": ([trials], common + [report]),
+    }
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        required, optional = commands[command]
+        tokens = [command] if command == "sbox-eval" else [command, draw(image)]
+        for group in required + draw(st.lists(st.sampled_from(optional), max_size=4, unique=True)):
+            tokens.extend(draw(group))
+        return tokens
+
+    return argv()
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(argv=_argvs())
+def test_cli_argv_exits_only_with_documented_codes(argv_files, argv):
+    # every run returns an exit code of the module docstring; only argparse raises
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in argv_files.items():
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(data)
+        os.mkdir(os.path.join(directory, "folder"))
+        args = [os.path.join(directory, t[1:]) if t.startswith("@") else t for t in argv]
+        try:
+            assert cli.main(args) in (0, 2, 3, 4)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)

@@ -141,6 +141,46 @@ def test_bundled_unknown_name():
         bundled_sbox("serpent")
 
 
+def _looped_transparency_order(table):
+    """Transparency order with its autocorrelations taken one difference a at a time.
+
+    The 8-bit reference for the Walsh-Hadamard form in ``gh401.sbox``: the
+    same integers, the same beta combination and the same float expression.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    size = table.size
+    n = size.bit_length() - 1
+    x = np.arange(size)
+    # signs[j, x] = (-1)^(bit j of table[x]); ac[j, a] = sum_x signs[j, x] * signs[j, x ^ a]
+    signs = 1 - 2 * ((table[np.newaxis, :] >> np.arange(n)[:, np.newaxis]) & 1)
+    ac = np.empty((n, size), dtype=np.int64)
+    for a in range(size):
+        ac[:, a] = (signs * signs[:, x ^ a]).sum(axis=1)
+
+    beta_bits = (np.arange(size)[:, np.newaxis] >> np.arange(n)[np.newaxis, :]) & 1
+    weights = beta_bits.sum(axis=1)
+    inner = np.abs((1 - 2 * beta_bits) @ ac)[:, 1:].sum(axis=1)  # exclude a = 0
+    scale = 1.0 / (2.0 ** (2 * n) - 2.0**n)
+    return float((np.abs(n - 2 * weights) - scale * inner).max())
+
+
+def _tables_of_every_size():
+    yield pytest.param(bundled_sbox("aes").table, id="aes")
+    yield pytest.param(np.arange(256), id="identity")
+    yield pytest.param(PRESENT_4BIT, id="present")
+    for n in range(1, 9):
+        rng = np.random.default_rng(n)
+        for i in range(8):
+            yield pytest.param(rng.permutation(1 << n), id=f"permutation-{1 << n}-{i}")
+        for i in range(2):  # maps that need not be bijections
+            yield pytest.param(rng.integers(0, 1 << n, size=1 << n), id=f"map-{1 << n}-{i}")
+
+
+@pytest.mark.parametrize("table", _tables_of_every_size())
+def test_transparency_order_equals_the_looped_autocorrelation_to_the_bit(table):
+    assert transparency_order(table) == _looped_transparency_order(table)
+
+
 def test_transparency_order_range():
     rng = np.random.default_rng(3)
     for _ in range(10):
