@@ -7,7 +7,9 @@ sorting sequence, and quantizing the even columns into the 128-bit
 whitening key.
 
 There are exactly two systems, each a class with a ``name``, its
-``DEFAULT_PARAMS`` and the ``iterate`` that :func:`generate_orbit` calls:
+``DEFAULT_PARAMS`` and ``iterate(state, params)``, an endless generator of
+6-tuple states that :func:`generate_orbit` alone collects.  The update never
+works in place, so six float64 arrays as the state run one orbit per element:
 
 ``hosny6d``
     A six-dimensional Lorenz-family flow (Lorenz core plus three linear
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -142,13 +145,11 @@ class ReferenceTestMap:
 
     RHO = tuple(3.99 + 0.001 * j for j in (1, 2, 3, 4, 5, 6))
 
-    def iterate(self, state, params: SystemParams, steps: int) -> np.ndarray:
+    def iterate(self, state, params: SystemParams):
         r1, r2, r3, r4, r5, r6 = self.RHO
         # Wrap once on entry; every later n is >= 0, so n % 1.0 is frac(n).
         y1, y2, y3, y4, y5, y6 = (abs(v) % 1.0 for v in state)
-        rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
-        extend = rows.extend
-        for _ in range(steps):
+        while True:
             n1 = r1 * y1 * (1.0 - y1) + 0.1 * y2
             n2 = r2 * y2 * (1.0 - y2) + 0.1 * y3
             n3 = r3 * y3 * (1.0 - y3) + 0.1 * y4
@@ -161,8 +162,7 @@ class ReferenceTestMap:
             y4 = n4 % 1.0
             y5 = n5 % 1.0
             y6 = n6 % 1.0
-            extend((y1, y2, y3, y4, y5, y6))
-        return np.frombuffer(rows, dtype=np.float64).reshape(steps, 6)
+            yield y1, y2, y3, y4, y5, y6
 
 
 class Hosny6D:
@@ -194,15 +194,13 @@ class Hosny6D:
 
     DEFAULT_PARAMS = SystemParams(10.0, 8.0 / 3.0, 28.0, -1.0, 8.0, 3.0)
 
-    def iterate(self, state, params: SystemParams, steps: int) -> np.ndarray:
+    def iterate(self, state, params: SystemParams):
         a, b, c, d, e, r = params.as_tuple()
         ne = -e
         h = RK4_STEP
         hh, h6 = 0.5 * h, h / 6.0
         x1, x2, x3, x4, x5, x6 = state
-        rows = array("d")  # 8 bytes a value; a list of float 6-tuples takes 40
-        extend = rows.extend
-        for _ in range(steps):
+        while True:
             # k1 = f(x)
             p13 = x1 * x3
             k11 = a * (x2 - x1) + x4 - x6
@@ -235,14 +233,13 @@ class Hosny6D:
             s1, s2, s3 = x1 + h * k31, x2 + h * k32, x3 + h * k33
             s4, s5, s6 = x4 + h * k34, x5 + h * k35, x6 + h * k36
             p13 = s1 * s3
-            x1 += h6 * (((k11 + 2.0 * k21) + 2.0 * k31) + (a * (s2 - s1) + s4 - s6))
-            x2 += h6 * (((k12 + 2.0 * k22) + 2.0 * k32) + (c * s1 - s2 - p13 + s5))
-            x3 += h6 * (((k13 + 2.0 * k23) + 2.0 * k33) + (s1 * s2 - b * s3))
-            x4 += h6 * (((k14 + 2.0 * k24) + 2.0 * k34) + (d * s4 - p13))
-            x5 += h6 * (((k15 + 2.0 * k25) + 2.0 * k35) + ne * s2)
-            x6 += h6 * (((k16 + 2.0 * k26) + 2.0 * k36) + r * s1)
-            extend((x1, x2, x3, x4, x5, x6))
-        return np.frombuffer(rows, dtype=np.float64).reshape(steps, 6)
+            x1 = x1 + h6 * (((k11 + 2.0 * k21) + 2.0 * k31) + (a * (s2 - s1) + s4 - s6))
+            x2 = x2 + h6 * (((k12 + 2.0 * k22) + 2.0 * k32) + (c * s1 - s2 - p13 + s5))
+            x3 = x3 + h6 * (((k13 + 2.0 * k23) + 2.0 * k33) + (s1 * s2 - b * s3))
+            x4 = x4 + h6 * (((k14 + 2.0 * k24) + 2.0 * k34) + (d * s4 - p13))
+            x5 = x5 + h6 * (((k15 + 2.0 * k25) + 2.0 * k35) + ne * s2)
+            x6 = x6 + h6 * (((k16 + 2.0 * k26) + 2.0 * k36) + r * s1)
+            yield x1, x2, x3, x4, x5, x6
 
 
 _SYSTEMS = {system.name: system for system in (ReferenceTestMap(), Hosny6D())}
@@ -280,7 +277,7 @@ def draw_params(system_name: str, seed: int) -> SystemParams:
 def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
                    params: SystemParams, length: int, *,
                    transient: int = TRANSIENT_LENGTH) -> np.ndarray:
-    """Iterate ``transient + length`` times and keep the tail.
+    """Collect ``transient + length`` rows of ``system.iterate``; keep the tail.
 
     Returns a (length, 6) float64 array, column j holding state variable
     j+1.  Raises :class:`OrbitDivergenceError` naming the first bad
@@ -292,7 +289,12 @@ def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")
-    full = system.iterate(ic.as_tuple(), params, transient + length)
+    # array("d") over-allocates by 1/16; an exactly sized buffer (np.fromiter) sets glibc's
+    # trim threshold under what an IEAHF encrypt frees, so each next decrypt refaults the heap.
+    rows = array("d")
+    for state in islice(system.iterate(ic.as_tuple(), params), transient + length):
+        rows.extend(state)
+    full = np.frombuffer(rows).reshape(-1, 6)
     if not np.isfinite(full).all():
         row, col = np.argwhere(~np.isfinite(full))[0]
         raise OrbitDivergenceError(int(row), f"x{col + 1}")

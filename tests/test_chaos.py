@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -116,17 +117,41 @@ def test_golden_orbit_digests(case):
     assert hashlib.sha256(orbit.tobytes()).hexdigest() == GOLDEN_ORBIT_SHA256[case]
 
 
+def first_rows(gen, n):
+    """The first ``n`` rows an ``iterate`` generator yields, as an (n, 6) array."""
+    return np.fromiter(gen, (np.float64, 6), count=n)
+
+
 @pytest.mark.parametrize("name", ["reftestmap", "hosny6d"])
 def test_iterate_contract(name):
-    # iterate returns all of its `steps` states, so a shorter run is a
-    # prefix of a longer one.
+    # iterate yields one state after another, so a fresh generator's
+    # first rows are a prefix of a longer pull.
     system = chaos.get_system(name)
     params = chaos.default_params(name)
     state = chaos.derive_initial_conditions(black((16, 16))).as_tuple()
-    full = system.iterate(state, params, 100)
+    assert all(len(row) == 6 and all(type(v) is float for v in row)
+               for row in islice(system.iterate(state, params), 100))
+    full = first_rows(system.iterate(state, params), 100)
     assert full.shape == (100, 6) and full.dtype == np.float64
-    assert np.array_equal(system.iterate(state, params, 40), full[:40])
-    assert system.iterate(state, params, 0).shape == (0, 6)
+    assert np.array_equal(first_rows(system.iterate(state, params), 40), full[:40])
+
+
+@pytest.mark.parametrize("name", ["reftestmap", "hosny6d"])
+def test_iterate_runs_lanes_bit_for_bit(name):
+    # Six float64 arrays as the state run one orbit per element through
+    # the same update rule; every lane equals its scalar orbit bit for bit,
+    # and the caller's state arrays are left as they were.
+    system = chaos.get_system(name)
+    params = chaos.draw_params(name, 3)
+    seeds = [chaos.initial_conditions_from_sum(total, 64 * 64).as_tuple()
+             for total in range(0, 64 * 255, 255)]
+    n = chaos.TRANSIENT_LENGTH + 88
+    lanes = np.array(seeds).T.copy()
+    lane_rows = np.array([np.stack(row) for row in islice(system.iterate(tuple(lanes), params), n)])
+    assert lane_rows.shape == (n, 6, 64)
+    assert np.array_equal(lanes, np.array(seeds).T)
+    for k, seed in enumerate(seeds):
+        assert lane_rows[:, :, k].tobytes() == first_rows(system.iterate(seed, params), n).tobytes()
 
 
 def test_golden_orbit_row():
@@ -156,7 +181,7 @@ def test_orbit_divergence_inside_transient_names_first_bad_row():
         chaos.generate_orbit(system, ic, params, 10)
     step = err.value.step
     assert 0 < step < chaos.TRANSIENT_LENGTH
-    full = system.iterate(ic.as_tuple(), params, step + 1)
+    full = first_rows(system.iterate(ic.as_tuple(), params), step + 1)
     assert np.isfinite(full[:step]).all()
     bad_cols = np.flatnonzero(~np.isfinite(full[step]))
     assert err.value.variable == f"x{bad_cols[0] + 1}"
@@ -177,18 +202,20 @@ def test_orbit_divergence_after_transient_names_its_full_trajectory_row():
 def test_generate_orbit_iterates_once(monkeypatch):
     # One run yields the kept rows and, on divergence, the row that names it.
     system = chaos.get_system("hosny6d")
-    calls = []
+    pulled = []
 
-    def spy(state, params, steps):
-        calls.append(steps)
-        return type(system).iterate(system, state, params, steps)
+    def spy(state, params):
+        pulled.append(0)
+        for row in type(system).iterate(system, state, params):
+            pulled[-1] += 1
+            yield row
 
     monkeypatch.setattr(system, "iterate", spy)
     ic = chaos.InitialConditions(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     chaos.generate_orbit(system, ic, chaos.default_params("hosny6d"), 10)
     with pytest.raises(chaos.OrbitDivergenceError):
         chaos.generate_orbit(system, ic, chaos.SystemParams(1e100, 1, 1, 1, 1, 1), 10)
-    assert calls == [chaos.TRANSIENT_LENGTH + 10] * 2
+    assert pulled == [chaos.TRANSIENT_LENGTH + 10] * 2
 
 
 def test_generate_orbit_rejects_zero_length():
@@ -365,10 +392,10 @@ def test_hosny6d_does_not_amplify_a_seed_change():
     bumped = chaos.InitialConditions(ic.x1 * (1 + 1e-12), ic.x2, ic.x3, ic.x4, ic.x5, ic.x6)
     assert bumped != ic
     system = chaos.get_system("hosny6d")
-    rows = chaos.TRANSIENT_LENGTH + 4 * chaos.rows_for_sequence(img.size)
+    n = chaos.TRANSIENT_LENGTH + 4 * chaos.rows_for_sequence(img.size)
     for params in (chaos.default_params("hosny6d"), chaos.draw_params("hosny6d", 3)):
-        gap = np.abs(system.iterate(ic.as_tuple(), params, rows)
-                     - system.iterate(bumped.as_tuple(), params, rows)).max()
+        gap = np.abs(first_rows(system.iterate(ic.as_tuple(), params), n)
+                     - first_rows(system.iterate(bumped.as_tuple(), params), n)).max()
         assert 0 < gap < 1e-6
 
 
