@@ -131,6 +131,30 @@ def test_matches_int64_block_oracle(bias):
                               _oracle(img, DIFFUSION_MATRIX_INV, -bias))
 
 
+@pytest.mark.parametrize("bias", [0, 1, -1, 255, 300])
+@pytest.mark.parametrize("layout", ["C", "reversed-view", "F"])
+def test_matches_int64_block_oracle_in_any_layout(layout, bias):
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        h = 2 * int(rng.integers(1, 17))
+        w = 2 * int(rng.integers(1, 17))
+        base = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        img = {"C": base, "reversed-view": base[:, ::-1], "F": np.asfortranarray(base)}[layout]
+        for stage, matrix, b in ((diffuse, DIFFUSION_MATRIX, bias),
+                                 (inverse_diffuse, DIFFUSION_MATRIX_INV, -bias)):
+            out = stage(img, bias)
+            assert out.dtype == np.uint8 and out.shape == (h, w)
+            assert np.array_equal(out, _oracle(img, matrix, b))
+
+
+def test_matches_int64_block_oracle_across_index_bands():
+    # 256x200 holds 25 600 pixel pairs: one full 2**14 index band and a partial one
+    img = np.random.default_rng(31).integers(0, 256, size=(256, 200)).astype(np.uint8)
+    for bias in (0, 1):
+        assert np.array_equal(diffuse(img, bias), _oracle(img, DIFFUSION_MATRIX, bias))
+        assert np.array_equal(inverse_diffuse(img, bias), _oracle(img, DIFFUSION_MATRIX_INV, -bias))
+
+
 def test_ieahf_is_linear_mod_256():
     rng = np.random.default_rng(9)
     x = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
