@@ -34,6 +34,7 @@ wherever the pipelines work on pixel vectors.  Bad input raises
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -92,6 +93,24 @@ def _crc32(img: np.ndarray) -> int:
     return zlib.crc32(img.tobytes()) & 0xFFFFFFFF
 
 
+def _check_types(instance, **types: type) -> None:
+    """``TypeError`` unless each named field of the frozen ``instance`` has its type.
+
+    An ``int`` field takes any integer through ``operator.index`` and is
+    stored as ``int``, so numpy integers keep working and a float is refused.
+    """
+    for name, kind in types.items():
+        value = getattr(instance, name)
+        if kind is int:
+            try:
+                object.__setattr__(instance, name, operator.index(value))
+                continue
+            except TypeError:
+                pass
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SideChannelFile:
     """The SSX1 side file: per-round sorting vectors and image checksums in one table.
@@ -101,11 +120,12 @@ class SideChannelFile:
     is held as the file's little-endian uint32 words.  On disk: magic
     ``SSX1``, then rounds, width, height and the table, all as 32-bit
     little-endian values; :meth:`from_bytes` returns the table as a
-    read-only view of those bytes.  Construction checks that there are 1
-    to ``MAX_ROUNDS`` rounds and every round holds a bijection on
-    [0, width*height), so serialization and decryption need not; the
-    instance is frozen, so those checks hold for its life.  Two side files
-    are equal when their width, height and table are (``np.array_equal``).
+    read-only view of those bytes.  Construction checks that width and
+    height are integers, there are 1 to ``MAX_ROUNDS`` rounds and every
+    round holds a bijection on [0, width*height), so serialization and
+    decryption need not; the instance is frozen, so those checks hold for
+    its life.  Two side files are equal when their width, height and
+    table are (``np.array_equal``).
     """
 
     width: int
@@ -117,6 +137,7 @@ class SideChannelFile:
                 and self.height == other.height and np.array_equal(self.table, other.table))
 
     def __post_init__(self):
+        _check_types(self, width=int, height=int)
         table = self.table
         if not isinstance(table, np.ndarray) or table.dtype != np.dtype("<u4") or table.ndim != 2:
             raise ValueError("side-channel table must be a 2-D little-endian uint32 array")
@@ -177,6 +198,8 @@ class KeyEnvelope:
     sbox_name: str
 
     def __post_init__(self):
+        _check_types(self, system=str, ic=InitialConditions, params=SystemParams, n=int,
+                     whitening=bytes, sbox_name=str)
         check_rounds(self.scheme, self.n)
         if len(self.whitening) != WHITENING_KEY_BYTES:
             raise ValueError(f"GH401 envelopes carry a {WHITENING_KEY_BYTES}-byte whitening key")

@@ -4,7 +4,7 @@ Subcommands: encrypt, decrypt, analyze, compare, sbox-eval, bench.
 Images travel as binary PGM (P5, maxval 255); GH401 key envelopes as
 UTF-8 text files; IEAHF side-channel data as the binary SSX1 format.
 A run whose output names the same file as another output or an input
-exits 2 before it reads any file.
+exits 2 before it reads any file.  The parser is built once per process.
 
 Exit codes (stable), one exception type each in :func:`main`:
     0  success
@@ -354,8 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except cipher.CryptoMismatchError as exc:

@@ -42,11 +42,13 @@ DIFFUSION_MATRIX_INV = np.array([[34, 201], [201, 89]], dtype=np.int64)
 _BAND = 1 << 14  # indices cast to intp at a time: 128 KB, which stays in cache
 
 
-def _index(s) -> np.ndarray:
-    """``s`` as an array; ``ValueError`` unless its dtype is a signed or unsigned integer."""
+def _index(s, n: int, what: str) -> np.ndarray:
+    """``s`` as an array; ``ValueError`` unless it holds integers, each in [0, n)."""
     s = np.asarray(s)
     if s.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got {s.dtype}")
+    if s.size and (s.min() < 0 or s.max() >= n):
+        raise ValueError(f"{what} has indices outside [0, {n})")
     return s
 
 
@@ -65,9 +67,7 @@ def check_permutation(values: np.ndarray, what: str) -> None:
     second appearance comes first, and both of its indices.
     """
     n = len(values)
-    values = _index(values)
-    if values.max() >= n or values.min() < 0:
-        raise ValueError(f"{what} has indices outside [0, {n})")
+    values = _index(values, n, what)
     seen = np.zeros(n, dtype=bool)
     for _, index in _intp_bands(values):
         seen[index] = True
@@ -81,10 +81,10 @@ def check_permutation(values: np.ndarray, what: str) -> None:
 
 
 def _operands(pixels: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pixels, s = check_pixels(pixels), _index(s)
+    pixels, s = check_pixels(pixels), np.asarray(s)
     if pixels.shape != s.shape:
         raise ValueError(f"pixel vector and permutation differ in length: {pixels.size} vs {s.size}")
-    return pixels, s
+    return pixels, _index(s, s.size, "permutation")
 
 
 def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:

@@ -466,6 +466,33 @@ def test_envelope_rejects_names_with_line_breaks(brk):
         _envelope(4, system=f"reftestmap{brk}")
 
 
+_SQUARE_TABLE = np.array([[0, 1, 2, 3, 0]], dtype="<u4")
+
+
+# each of these would construct, then fail or write a file its own parser refuses
+@pytest.mark.parametrize("make, message", [
+    (lambda: _envelope(4.0), "^n must be int, got float$"),
+    (lambda: _envelope(4, whitening="0" * 16), "^whitening must be bytes, got str$"),
+    (lambda: _envelope(4, sbox_name=3), "^sbox_name must be str, got int$"),
+    (lambda: _envelope(4, system=1), "^system must be str, got int$"),
+    (lambda: SideChannelFile(width=2.0, height=2, table=_SQUARE_TABLE),
+     "^width must be int, got float$"),
+    (lambda: SideChannelFile(width=2, height="2", table=_SQUARE_TABLE),
+     "^height must be int, got str$"),
+], ids=["float-n", "str-whitening", "int-sbox-name", "int-system", "float-width", "str-height"])
+def test_key_material_refuses_field_types_its_file_cannot_hold(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+def test_key_material_stores_numpy_integers_as_int():
+    env = _envelope(np.int64(4))
+    assert type(env.n) is int and env.to_text() == _envelope(4).to_text()
+    side = SideChannelFile(width=np.uint32(2), height=np.int8(2), table=_SQUARE_TABLE)
+    assert type(side.width) is int and type(side.height) is int
+    assert SideChannelFile.from_bytes(side.to_bytes()) == side
+
+
 # ---------------------------------------------------- scheme dispatch
 
 @pytest.mark.parametrize("scheme, key_type, rounds", [

@@ -1,5 +1,6 @@
 """PGM I/O and the command-line front end."""
 
+import argparse
 import hashlib
 import os
 import struct
@@ -965,3 +966,48 @@ def test_cli_argv_exits_only_with_documented_codes(argv_files, argv):
             assert cli.main(args) in (0, 2, 3, 4)
         except SystemExit as exc:
             assert exc.code in (0, 2)
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def test_cli_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    assert cli.main(["sbox-eval", "--sbox", "aes"]) == 0
+    assert cli.main(["analyze", src, "--pairs", "10"]) == 0
+    assert built == []
+
+
+def test_cli_calls_in_one_process_do_not_leak_into_each_other(tmp_path, capsys):
+    src = write_image(tmp_path / "p.pgm", np.arange(64, dtype=np.uint8).reshape(8, 8))
+    assert cli.main(["analyze", src, "--pairs", "10", "--seed", "5"]) == 0
+    assert "image.seed=5\n" in capsys.readouterr().out
+    assert cli.main(["analyze", src, "--pairs", "10"]) == 0
+    assert "image.seed=0\n" in capsys.readouterr().out
+
+    ss = tmp_path / "c.ss"
+    assert cli.main(["encrypt", src, "--scheme", "IEAHF", "--out", str(tmp_path / "i.pgm"),
+                     "--ss", str(ss)]) == 0
+    assert cipher.SideChannelFile.from_bytes(ss.read_bytes()).rounds == 2
+    assert cli.main(["encrypt", src, "--out", str(tmp_path / "g.pgm")]) == 0
+    env = cipher.KeyEnvelope.from_bytes((tmp_path / "p.key").read_bytes())
+    assert (env.scheme, env.n) == (cipher.SCHEME_GH401, 4)
+    assert not (tmp_path / "p.ss").exists()
+
+
+@pytest.mark.parametrize("command", [[], ["encrypt"], ["decrypt"], ["analyze"], ["compare"],
+                                     ["sbox-eval"], ["bench"]],
+                         ids=lambda c: c[0] if c else "gh401")
+def test_cli_help_renders(capsys, command):
+    # every help string is %-formatted when rendered, so a stray % fails here
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gh401 {' '.join(command)}".rstrip())

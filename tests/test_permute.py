@@ -110,14 +110,15 @@ def test_refuses_non_integer_tables(table):
         check_permutation(table, "table")
 
 
-def test_negative_and_out_of_range_indices_behave_as_numpy_indexing():
+def test_indices_outside_the_table_are_refused():
+    # numpy indexing would wrap -1 onto the last pixel and raise IndexError for 4
     p = np.array([10, 20, 30, 40], dtype=np.uint8)
-    s = np.array([-1, 0, 1, 2])
-    assert permute(p, s, 0).tolist() == [40, 10, 20, 30]
-    assert invert_permute(p, s, 0).tolist() == [20, 30, 40, 10]
-    for stage in (permute, invert_permute):
-        with pytest.raises(IndexError, match="index 4 is out of bounds for axis 0 with size 4"):
-            stage(p, np.array([4, 0, 1, 2]), 0)
+    for dtype, bad in (("i1", -1), ("i1", 4), ("i8", -1), ("i8", 4), ("<u4", 4),
+                       ("<u4", 2**32 - 1)):
+        s = np.array([bad, 0, 1, 2]).astype(dtype)
+        for stage in (permute, invert_permute):
+            with pytest.raises(ValueError, match=r"^permutation has indices outside \[0, 4\)$"):
+                stage(p, s, 0)
 
 
 def test_check_permutation_refuses_negative_values():
