@@ -10,25 +10,25 @@ IEAHF (baseline)
 
 GH401 (hardened)
     The orbit seeds are derived once from the plaintext and every round
-    consumes a disjoint slice of one long orbit.  The orbit is made one
-    round's slice at a time, each slice continuing from the last row of
-    the one before; a slice is freed before it is sorted into its round's
-    row of a uint32 permutation table, so one is held at a time, in
-    encryption and decryption alike.  Per round k: XOR the
-    128-bit whitening key cyclically into the pixel vector, permute with
-    the round offset k, apply the incremented Q-matrix diffusion, then
-    the S-box.  Decryption needs only the compact key envelope, which
-    names every setting of one GH401 encryption: system, seeds,
-    parameters, rounds (3 to ``MAX_ROUNDS``), whitening key and
-    S-box.  IEAHF has no envelope; its key material is the side file.
+    consumes a disjoint slice of one long orbit, made when its round is
+    reached and freed before its sort.  Encryption applies each round's
+    permutation as it comes; decryption, which runs the rounds in reverse,
+    collects them first in a uint32 table.  Per round k: XOR the 128-bit
+    whitening key cyclically into the image, permute with the round
+    offset k, apply the incremented Q-matrix diffusion, then the S-box.
+    Decryption needs only the compact key envelope, which names every
+    setting of one GH401 encryption: system, seeds, parameters, rounds (3
+    to ``MAX_ROUNDS``), whitening key and S-box.  IEAHF has no envelope;
+    its key material is the side file.
 
 IEAHF permutes with offset 0 and diffuses with bias 0; GH401 uses the
 round number as offset and bias 1.  :func:`encrypt` and :func:`decrypt`
 are the one place that picks a pipeline and its default round count.
 
-Images are 2-D uint8 arrays with even dimensions, flattened row-major
-wherever the pipelines work on pixel vectors.  Bad input raises
-``ValueError``; key material that does not match raises :class:`CryptoMismatchError`.
+Images are 2-D uint8 arrays with even dimensions and keep their shape
+through every stage; the permutations index their pixels row-major.  Bad
+input raises ``ValueError``; key material that does not match raises
+:class:`CryptoMismatchError`.
 """
 
 from __future__ import annotations
@@ -271,39 +271,38 @@ permute_ieahf = permute_gh401 = permute
 diffuse_ieahf = diffuse_gh401 = diffuse
 
 
-def _keystream(table: np.ndarray, system: str, ic: InitialConditions,
-               params: SystemParams) -> np.ndarray:
-    """Fill ``table`` with one round's permutation per row; return the orbit's first rows.
+def _keystream(mn: int, system: str, ic: InitialConditions, params: SystemParams):
+    """Yield ``(permutation, orbit head so far)`` for rounds 1, 2, ... without end.
 
-    Row k of the (rounds, mn) table is the ascending order of the sort
-    sequence built from the k-th slice of ``rows_for_sequence(mn)`` orbit
-    rows.  Each slice is its own :func:`generate_orbit` call: the first
-    one runs the transient, every later one continues from the last row
-    of the slice before, which gives bit for bit the rows of one long
-    call.  A slice (16 B/px) is freed before its sort, so one is held at
-    a time.  A divergence names its row in the full trajectory.  The
-    returned rows, the first ``WHITENING_ROWS`` of the orbit, may span
-    several slices of a small image.
+    Round k's permutation is the ascending order of the sort sequence built
+    from the k-th slice of ``rows_for_sequence(mn)`` orbit rows, made only
+    when its round is asked for.  Each slice is its own :func:`generate_orbit`
+    call: the first runs the transient, every later one continues from the
+    last row of the one before, bit for bit the rows of one long call.  A
+    slice (16 B/px) is freed before its sort.  A divergence names its row
+    in the full trajectory.  The head, the orbit's first ``WHITENING_ROWS``
+    rows, spans several slices of an image under 16 pixels.
     """
-    mn = table.shape[1]
     rows = rows_for_sequence(mn)
     dynamics = get_system(system)
     head = np.empty((0, 6))
     # the state each slice starts from, its transient, and its first row in the full trajectory
     state, transient, start = ic, TRANSIENT_LENGTH, 0
-    for row in table:
+    while True:
         try:
             orbit = generate_orbit(dynamics, state, params, rows, transient=transient)
         except OrbitDivergenceError as exc:
             raise OrbitDivergenceError(start + exc.step, exc.variable) from None
         head = np.concatenate([head, orbit[:WHITENING_ROWS - len(head)]])
         state, transient, start = InitialConditions(*orbit[-1]), 0, start + transient + rows
-        # the slice goes before its sort, the sequence before the next slice
         seq = build_sort_sequence(orbit, mn)
-        del orbit
-        row[:] = argsort_ascending(seq)
-        del seq
-    return head
+        del orbit  # the slice goes before its sort
+        perm = argsort_ascending(seq)
+        try:
+            yield perm, head
+        finally:
+            # the order before its sequence, so the heap a receiver reuses is left untrimmed
+            del perm, seq
 
 
 def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
@@ -321,8 +320,10 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     cur = img
     table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
-        _keystream(row[None, :-1], system, derive_initial_conditions(cur), params)
-        cur = diffuse_ieahf(permute_ieahf(cur.reshape(-1), row[:-1], 0).reshape(h, w), 0)
+        keys = _keystream(img.size, system, derive_initial_conditions(cur), params)
+        row[:-1] = next(keys)[0]
+        keys.close()  # frees the order, then its sequence, before the round's stages run
+        cur = diffuse_ieahf(permute_ieahf(cur, row[:-1], 0), 0)
         row[-1] = _crc32(cur)
     return cur, SideChannelFile(width=w, height=h, table=table)
 
@@ -339,16 +340,8 @@ def decrypt_ieahf(cipher: np.ndarray, side: SideChannelFile) -> np.ndarray:
         if _crc32(cur) != side.table[k, -1]:
             raise CryptoMismatchError(
                 f"round {k + 1} checksum mismatch: wrong side-channel file for this ciphertext")
-        undiffused = inverse_diffuse(cur, 0)
-        restored = invert_permute(undiffused.reshape(-1), side.table[k, :-1], 0)
-        cur = restored.reshape(h, w)
+        cur = invert_permute(inverse_diffuse(cur, 0), side.table[k, :-1], 0)
     return cur
-
-
-def _whitening_mask(whitening: bytes, mn: int) -> np.ndarray:
-    key = np.frombuffer(whitening, dtype=np.uint8)
-    reps = -(-mn // key.size)
-    return np.tile(key, reps)[:mn]
 
 
 def _require_sbox(sbox) -> None:
@@ -362,38 +355,38 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
     img = check_blocks(img)
     check_rounds(SCHEME_GH401, n)
     _require_sbox(sbox)
-    h, w = img.shape
     ic = derive_initial_conditions(img)
-    table = np.empty((n, img.size), dtype=np.uint32)
-    whitening = derive_whitening_key(_keystream(table, system, ic, params))
-    mask = _whitening_mask(whitening, img.size)
-    cur = img.reshape(-1)
-    for k, perm in enumerate(table, start=1):
-        cur = cur ^ mask
-        cur = permute_gh401(cur, perm, k)
-        cur = diffuse_gh401(cur.reshape(h, w), 1).reshape(-1)
-        cur = substitute(cur, sbox)
-    env = KeyEnvelope(system=system, ic=ic, params=params, n=n,
-                      whitening=whitening, sbox_name=sbox.name)
-    return cur.reshape(h, w), env
+    keys = _keystream(img.size, system, ic, params)
+    early = [next(keys)]
+    while len(early[-1][1]) < WHITENING_ROWS:  # below 16 pixels the head spans several rounds
+        early.append(next(keys))
+    whitening = derive_whitening_key(early[-1][1])
+    mask = np.resize(np.frombuffer(whitening, dtype=np.uint8), img.shape)
+    cur = img
+    for k in range(1, n + 1):
+        perm = (early.pop(0) if early else next(keys))[0]
+        cur = substitute(diffuse_gh401(permute_gh401(cur ^ mask, perm, k), 1), sbox)
+        del perm  # before the next round's sort
+    return cur, KeyEnvelope(system=system, ic=ic, params=params, n=n,
+                            whitening=whitening, sbox_name=sbox.name)
 
 
 def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarray:
-    """Rebuild the permutations from the envelope and invert the rounds."""
+    """Rebuild every round's permutation from the envelope, then invert the rounds in reverse."""
     cipher = check_blocks(cipher)
     _require_sbox(sbox)
     env.check_sbox(sbox)
-    h, w = cipher.shape
+    keys = _keystream(cipher.size, env.system, env.ic, env.params)
     table = np.empty((env.n, cipher.size), dtype=np.uint32)
-    _keystream(table, env.system, env.ic, env.params)
-    mask = _whitening_mask(env.whitening, cipher.size)
-    cur = cipher.reshape(-1)
+    for row in table:
+        row[:] = next(keys)[0]
+    keys.close()  # the table is full: free the last round's sort now
+    mask = np.resize(np.frombuffer(env.whitening, dtype=np.uint8), cipher.shape)
+    cur = cipher
     for k in range(env.n, 0, -1):
-        cur = substitute(cur, sbox, inverse=True)
-        cur = inverse_diffuse(cur.reshape(h, w), 1).reshape(-1)
-        cur = invert_permute(cur, table[k - 1], k)
-        cur = cur ^ mask
-    return cur.reshape(h, w)
+        cur = inverse_diffuse(substitute(cur, sbox, inverse=True), 1)
+        cur = invert_permute(cur, table[k - 1], k) ^ mask
+    return cur
 
 
 def encrypt(scheme: str, img: np.ndarray, params: SystemParams, rounds: int | None = None,

@@ -64,10 +64,12 @@ def _parse_pgm(data: bytes) -> np.ndarray:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` via a temp file and a rename; a failed write leaves no temp file."""
+    """Write ``data`` via a new temp file, never a symlink, and a rename; a failure leaves none."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -1,10 +1,10 @@
 """The keyed stages of a round: sort permutation and Q-matrix block diffusion.
 
-Permutation rearranges the pixel vector through the sorting-index vector
-S and adds a round offset to every output byte: R[i] = (P[S[i]] + offset)
-mod 256.  With offset 0 this is a plain rearrangement, which preserves
-the pixel multiset exactly, so a uniform image passes through unchanged;
-a nonzero offset breaks that fixed point.
+Permutation rearranges an image's pixels, flattened row-major, through
+the sorting-index vector S and adds a round offset to every output byte:
+R[i] = (P[S[i]] + offset) mod 256, in the image's shape.  Offset 0 keeps
+the pixel multiset, so a uniform image passes through unchanged; a
+nonzero offset breaks that fixed point.
 
 Diffusion uses the tenth power of the Fibonacci Q-matrix Q = [[1,1],[1,0]]:
 
@@ -81,29 +81,31 @@ def check_permutation(values: np.ndarray, what: str) -> None:
 
 
 def _operands(pixels: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels flattened, and ``s`` checked as a 1-D table of one index per pixel."""
     pixels, s = check_pixels(pixels), np.asarray(s)
-    if pixels.shape != s.shape:
-        raise ValueError(f"pixel vector and permutation differ in length: {pixels.size} vs {s.size}")
-    return pixels, _index(s, s.size, "permutation")
+    if s.ndim != 1 or s.size != pixels.size:
+        raise ValueError(f"permutation must be 1-D with the pixels' length {pixels.size}, "
+                         f"got shape {s.shape}")
+    return pixels.reshape(-1), _index(s, s.size, "permutation")
 
 
 def permute(p: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
-    """R[i] = (P[S[i]] + offset) mod 256."""
-    p, s = _operands(p, s)
-    out = np.empty_like(p)
+    """R[i] = (P[S[i]] + offset) mod 256 over the flattened pixels; R has ``p``'s shape."""
+    flat, s = _operands(p, s)
+    out = np.empty_like(flat)
     for band, index in _intp_bands(s):
-        np.take(p, index, out=out[band])
+        np.take(flat, index, out=out[band])
     out += np.uint8(offset % 256)
-    return out
+    return out.reshape(np.shape(p))
 
 
 def invert_permute(r: np.ndarray, s: np.ndarray, offset: int) -> np.ndarray:
     """Exact left inverse of :func:`permute` with the same offset; ``s`` must be a permutation."""
-    r, s = _operands(r, s)
-    p = np.zeros_like(r)
+    flat, s = _operands(r, s)
+    p = np.zeros_like(flat)
     for band, index in _intp_bands(s):
-        p[index] = r[band] - np.uint8(offset % 256)
-    return p
+        p[index] = flat[band] - np.uint8(offset % 256)
+    return p.reshape(np.shape(r))
 
 
 @functools.lru_cache(maxsize=8)

@@ -218,6 +218,23 @@ def test_gh401_holds_one_orbit_slice_at_a_time(system, n):
     assert _traced_peak(cipher.decrypt_gh401, img, env, AES) < bound
 
 
+@pytest.mark.parametrize("system", ["reftestmap", "hosny6d"])
+def test_gh401_encrypt_peak_does_not_grow_with_rounds(system):
+    # Encryption applies each round's permutation as it is made and keeps
+    # none, so its peak is one round's sort (24 B/px) and a few images at
+    # any n.  A table of the rounds not yet reached would add 4 B/px a round.
+    # tracemalloc also counts about 0.5 KB a round of tuples left on
+    # CPython's free lists: 1.1% from n = 4 to 16 at this size, hence 2%.
+    img = random_image(np.random.default_rng(7), 128, 128)
+    mn = img.size
+    params = chaos.draw_params(system, 3)
+    slice_bytes = (chaos.TRANSIENT_LENGTH + chaos.rows_for_sequence(mn)) * 6 * 8
+    cipher.encrypt_gh401(img, params, 3, AES, system)  # builds the cached diffusion tables
+    peaks = [_traced_peak(cipher.encrypt_gh401, img, params, n, AES, system) for n in (4, 8, 16)]
+    assert max(peaks) <= 1.02 * min(peaks)
+    assert max(peaks) < slice_bytes + 12 * mn
+
+
 def test_side_file_encodes_with_one_copy_of_its_table():
     mn = 256 * 256
     row = np.append(np.arange(mn), 0).astype("<u4")
@@ -600,7 +617,8 @@ def test_keystream_slices_are_one_orbit(monkeypatch, system, draw, shape):
     # Each round's slice continues from the last row of the slice before, so
     # the slices are bit for bit the rows of one call for every round.  At
     # 10x10 a round takes 34 rows and leaves 2 values unused; at 2x4 it
-    # takes 3, so the whitening rows span two slices.
+    # takes 3, so the whitening rows span two slices.  A slice is made only
+    # when its round is taken.
     n = 5
     img = random_image(np.random.default_rng(9), *shape)
     mn, rows = img.size, chaos.rows_for_sequence(img.size)
@@ -614,15 +632,38 @@ def test_keystream_slices_are_one_orbit(monkeypatch, system, draw, shape):
         return slices[-1]
 
     monkeypatch.setattr(cipher, "generate_orbit", spy)
-    table = np.empty((n, mn), dtype=np.uint32)
-    head = cipher._keystream(table, system, ic, params)
+    keys = cipher._keystream(mn, system, ic, params)
+    assert slices == []
+    rounds = []
+    for k in range(1, n + 1):
+        rounds.append(next(keys))
+        assert len(slices) == k
+    keys.close()
     orbit = chaos.generate_orbit(chaos.get_system(system), ic, params, n * rows)
     assert [len(s) for s in slices] == [rows] * n
     assert np.concatenate(slices).tobytes() == orbit.tobytes()
-    assert head.tobytes() == orbit[:chaos.WHITENING_ROWS].tobytes()
-    for k, perm in enumerate(table):
+    for k, (perm, head) in enumerate(rounds):
+        assert head.tobytes() == orbit[:min(chaos.WHITENING_ROWS, (k + 1) * rows)].tobytes()
         sequence = chaos.build_sort_sequence(orbit[k * rows:], mn)
         assert np.array_equal(perm, chaos.argsort_ascending(sequence))
+    assert rounds[-1][1].tobytes() == orbit[:chaos.WHITENING_ROWS].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4), (16, 16)])
+@pytest.mark.parametrize("n", [3, 5])
+def test_gh401_makes_one_orbit_slice_per_round(monkeypatch, shape, n):
+    # Below 16 pixels the whitening rows span the first ceil(6 / rows)
+    # slices, 3 at 2x2, so encryption takes those rounds before round 1;
+    # three rounds always cover them, so no slice is made beyond round n.
+    img = random_image(np.random.default_rng(17), *shape)
+    calls = []
+    generate = cipher.generate_orbit
+    monkeypatch.setattr(cipher, "generate_orbit",
+                        lambda *args, **kwargs: calls.append(1) or generate(*args, **kwargs))
+    c, env = cipher.encrypt_gh401(img, PARAMS, n, AES)
+    assert len(calls) == n
+    assert np.array_equal(cipher.decrypt_gh401(c, env, AES), img)
+    assert len(calls) == 2 * n
 
 
 @pytest.mark.parametrize("d", [11.5, 12.0, 12.5])

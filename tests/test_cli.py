@@ -467,6 +467,23 @@ def test_cli_failed_write_leaves_no_temp_file(tmp_path, rng, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pgm", "p.pgm"]
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="the platform has no symlinks")
+def test_cli_does_not_write_through_a_symlink_at_the_temp_name(tmp_path, rng, capsys):
+    src = write_image(tmp_path / "p.pgm", rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+    out = tmp_path / "out.pgm"
+    target = tmp_path / "target"
+    target.write_bytes(b"kept")
+    # write_atomic's temp name; the CLI runs in this process, so the pid is this test's
+    link = tmp_path / f"out.pgm.tmp.{os.getpid()}"
+    link.symlink_to(target)
+    code = cli.main(["encrypt", src, "--scheme", "IEAHF", "--out", str(out),
+                     "--ss", str(tmp_path / "c.ss")])
+    assert code == cli.EXIT_IO
+    assert "error:" in capsys.readouterr().err
+    assert target.read_bytes() == b"kept"
+    assert link.is_symlink() and not out.exists()
+
+
 @pytest.mark.parametrize("scheme, flag, label", [("GH401", "--key", "key envelope"),
                                                  ("IEAHF", "--ss", "side-channel file")])
 def test_cli_encrypt_prints_written_key_size(tmp_path, rng, capsys, scheme, flag, label):

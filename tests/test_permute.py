@@ -40,6 +40,31 @@ def test_length_mismatch():
         invert_permute(np.zeros(4, dtype=np.uint8), np.arange(5), 1)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_images_are_permuted_through_their_flattened_pixels(order):
+    # a 2-D image takes the same flat table as its row-major pixel vector and keeps its shape
+    rng = np.random.default_rng(13)
+    img = np.asarray(rng.integers(0, 256, (6, 8)).astype(np.uint8), order=order)
+    s = rng.permutation(img.size).astype("<u4")
+    out = permute(img, s, 5)
+    assert out.shape == img.shape
+    assert np.array_equal(out, permute(np.ravel(img), s, 5).reshape(img.shape))
+    back = invert_permute(out, s, 5)
+    assert back.shape == img.shape and np.array_equal(back, img)
+
+
+def test_two_dimensional_tables_are_refused():
+    # permute would gather such a table over the flattened image, while a
+    # scatter indexes along axis 0 and raises numpy's IndexError
+    img = np.arange(4, dtype=np.uint8).reshape(2, 2)
+    table = np.array([[3, 2], [1, 0]])
+    for stage in (permute, invert_permute):
+        with pytest.raises(ValueError, match=r"^permutation must be 1-D .*got shape \(2, 2\)$"):
+            stage(img, table, 0)
+        with pytest.raises(ValueError, match=r"^permutation must be 1-D"):
+            stage(img.reshape(-1), table, 0)
+
+
 def test_ieahf_preserves_histogram():
     rng = np.random.default_rng(5)
     p = rng.integers(0, 256, 500).astype(np.uint8)
