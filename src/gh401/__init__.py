@@ -10,10 +10,8 @@ from types import ModuleType as _ModuleType
 
 from gh401.chaos import (
     TRANSIENT_LENGTH,
-    Hosny6D,
     InitialConditions,
     OrbitDivergenceError,
-    ReferenceTestMap,
     SystemParams,
     argsort_ascending,
     build_sort_sequence,

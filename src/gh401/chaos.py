@@ -283,9 +283,10 @@ def generate_orbit(system: ReferenceTestMap | Hosny6D, ic: InitialConditions,
     j+1.  Raises :class:`OrbitDivergenceError` naming the first bad
     iteration of this call, transient included, and its first non-finite
     variable if the trajectory leaves the finite floats.  ``transient`` is
-    ``TRANSIENT_LENGTH`` except where an orbit is continued from its last
-    row, which needs none: the continued rows are bit for bit those one
-    longer call would give.
+    ``TRANSIENT_LENGTH`` except where an orbit is continued from a row of
+    an earlier call, which needs none: the continued rows are bit for bit
+    those one longer call would give.  The ciphers continue from the last
+    row of a round's block, which need not end its slice.
     """
     if length < 1:
         raise ValueError("orbit length must be at least 1")

@@ -9,16 +9,16 @@ IEAHF (baseline)
     behaviour, including its bandwidth cost.
 
 GH401 (hardened)
-    The orbit seeds are derived once from the plaintext and every round
-    consumes a disjoint slice of one long orbit, made when its round is
-    reached and freed before its sort.  Encryption applies each round's
-    permutation as it comes; decryption, which runs the rounds in reverse,
-    collects them first in a uint32 table.  Per round k: XOR the 128-bit
-    whitening key cyclically into the image, permute with the round
-    offset k, apply the incremented Q-matrix diffusion, then the S-box.
-    Decryption needs only the compact key envelope, which names every
-    setting of one GH401 encryption: system, seeds, parameters, rounds (3
-    to ``MAX_ROUNDS``), whitening key and S-box.  IEAHF has no envelope;
+    The orbit seeds are derived once from the plaintext; one long orbit
+    gives the whitening key from its first rows and every round's
+    permutation from a disjoint slice, made when its round is reached.
+    Encryption applies each permutation as it comes; decryption, which runs
+    the rounds in reverse, collects them first in a uint32 table.  Per round
+    k: XOR the 128-bit whitening key cyclically into the image, permute with
+    the round offset k, apply the incremented Q-matrix diffusion, then the
+    S-box.  Decryption needs only the compact key envelope, which names
+    every setting of one GH401 encryption: system, seeds, parameters, rounds
+    (3 to ``MAX_ROUNDS``), whitening key and S-box.  IEAHF has no envelope;
     its key material is the side file.
 
 IEAHF permutes with offset 0 and diffuses with bias 0; GH401 uses the
@@ -90,7 +90,7 @@ def check_rounds(scheme: str, n: int) -> None:
 
 
 def _crc32(img: np.ndarray) -> int:
-    return zlib.crc32(img.tobytes()) & 0xFFFFFFFF
+    return zlib.crc32(img.tobytes())
 
 
 def _check_types(instance, **types: type) -> None:
@@ -272,34 +272,35 @@ diffuse_ieahf = diffuse_gh401 = diffuse
 
 
 def _keystream(mn: int, system: str, ic: InitialConditions, params: SystemParams):
-    """Yield ``(permutation, orbit head so far)`` for rounds 1, 2, ... without end.
+    """Yield a copy of the orbit's first ``WHITENING_ROWS`` rows, then one permutation per round.
 
     Round k's permutation is the ascending order of the sort sequence built
-    from the k-th slice of ``rows_for_sequence(mn)`` orbit rows, made only
-    when its round is asked for.  Each slice is its own :func:`generate_orbit`
-    call: the first runs the transient, every later one continues from the
-    last row of the one before, bit for bit the rows of one long call.  A
-    slice (16 B/px) is freed before its sort.  A divergence names its row
-    in the full trajectory.  The head, the orbit's first ``WHITENING_ROWS``
-    rows, spans several slices of an image under 16 pixels.
+    from the k-th block of ``rows_for_sequence(mn)`` orbit rows, made only
+    when its round is asked for.  Each round's slice is its own
+    :func:`generate_orbit` call: the first runs the transient and holds at
+    least the whitening rows, every later one continues from the last row
+    of the block before, bit for bit the rows of one long call.  A slice
+    (16 B/px) is freed before its sort.  A divergence names its row in the
+    full trajectory.
     """
     rows = rows_for_sequence(mn)
     dynamics = get_system(system)
-    head = np.empty((0, 6))
-    # the state each slice starts from, its transient, and its first row in the full trajectory
-    state, transient, start = ic, TRANSIENT_LENGTH, 0
+    # each slice's start state, transient, length, and first row in the full trajectory
+    state, transient, length, start = ic, TRANSIENT_LENGTH, max(rows, WHITENING_ROWS), 0
     while True:
         try:
-            orbit = generate_orbit(dynamics, state, params, rows, transient=transient)
+            orbit = generate_orbit(dynamics, state, params, length, transient=transient)
         except OrbitDivergenceError as exc:
             raise OrbitDivergenceError(start + exc.step, exc.variable) from None
-        head = np.concatenate([head, orbit[:WHITENING_ROWS - len(head)]])
-        state, transient, start = InitialConditions(*orbit[-1]), 0, start + transient + rows
+        if transient:
+            yield orbit[:WHITENING_ROWS].copy()
+        state, start = InitialConditions(*orbit[rows - 1]), start + transient + rows
+        transient, length = 0, rows
         seq = build_sort_sequence(orbit, mn)
         del orbit  # the slice goes before its sort
         perm = argsort_ascending(seq)
         try:
-            yield perm, head
+            yield perm
         finally:
             # the order before its sequence, so the heap a receiver reuses is left untrimmed
             del perm, seq
@@ -321,7 +322,8 @@ def encrypt_ieahf(img: np.ndarray, params: SystemParams, n: int,
     table = np.empty((n, img.size + 1), dtype="<u4")
     for row in table:
         keys = _keystream(img.size, system, derive_initial_conditions(cur), params)
-        row[:-1] = next(keys)[0]
+        next(keys)  # IEAHF has no whitening key
+        row[:-1] = next(keys)
         keys.close()  # frees the order, then its sequence, before the round's stages run
         cur = diffuse_ieahf(permute_ieahf(cur, row[:-1], 0), 0)
         row[-1] = _crc32(cur)
@@ -357,14 +359,11 @@ def encrypt_gh401(img: np.ndarray, params: SystemParams, n: int, sbox: SBox8,
     _require_sbox(sbox)
     ic = derive_initial_conditions(img)
     keys = _keystream(img.size, system, ic, params)
-    early = [next(keys)]
-    while len(early[-1][1]) < WHITENING_ROWS:  # below 16 pixels the head spans several rounds
-        early.append(next(keys))
-    whitening = derive_whitening_key(early[-1][1])
+    whitening = derive_whitening_key(next(keys))
     mask = np.resize(np.frombuffer(whitening, dtype=np.uint8), img.shape)
     cur = img
     for k in range(1, n + 1):
-        perm = (early.pop(0) if early else next(keys))[0]
+        perm = next(keys)  # before the XOR, so no round's pixels are held through its sort
         cur = substitute(diffuse_gh401(permute_gh401(cur ^ mask, perm, k), 1), sbox)
         del perm  # before the next round's sort
     return cur, KeyEnvelope(system=system, ic=ic, params=params, n=n,
@@ -377,9 +376,10 @@ def decrypt_gh401(cipher: np.ndarray, env: KeyEnvelope, sbox: SBox8) -> np.ndarr
     _require_sbox(sbox)
     env.check_sbox(sbox)
     keys = _keystream(cipher.size, env.system, env.ic, env.params)
+    next(keys)  # the envelope carries the whitening key
     table = np.empty((env.n, cipher.size), dtype=np.uint32)
     for row in table:
-        row[:] = next(keys)[0]
+        row[:] = next(keys)
     keys.close()  # the table is full: free the last round's sort now
     mask = np.resize(np.frombuffer(env.whitening, dtype=np.uint8), cipher.shape)
     cur = cipher

@@ -614,11 +614,11 @@ def test_gh401_equal_sum_change_stays_within_its_footprint(system, n):
 @pytest.mark.parametrize("draw", [None, 3])
 @pytest.mark.parametrize("shape", [(10, 10), (2, 4)])
 def test_keystream_slices_are_one_orbit(monkeypatch, system, draw, shape):
-    # Each round's slice continues from the last row of the slice before, so
-    # the slices are bit for bit the rows of one call for every round.  At
-    # 10x10 a round takes 34 rows and leaves 2 values unused; at 2x4 it
-    # takes 3, so the whitening rows span two slices.  A slice is made only
-    # when its round is taken.
+    # Each round's block continues from the last row of the block before,
+    # so the blocks are bit for bit the rows of one call for every round.
+    # At 10x10 a round takes 34 rows and leaves 2 values unused; at 2x4 it
+    # takes 3, so round 1's slice is lengthened to the 6 whitening rows.  A
+    # slice is made only when its round is taken.
     n = 5
     img = random_image(np.random.default_rng(9), *shape)
     mn, rows = img.size, chaos.rows_for_sequence(img.size)
@@ -634,27 +634,29 @@ def test_keystream_slices_are_one_orbit(monkeypatch, system, draw, shape):
     monkeypatch.setattr(cipher, "generate_orbit", spy)
     keys = cipher._keystream(mn, system, ic, params)
     assert slices == []
-    rounds = []
+    head = next(keys)
+    assert len(slices) == 1
+    perms = []
     for k in range(1, n + 1):
-        rounds.append(next(keys))
+        perms.append(next(keys))
         assert len(slices) == k
     keys.close()
     orbit = chaos.generate_orbit(chaos.get_system(system), ic, params, n * rows)
-    assert [len(s) for s in slices] == [rows] * n
-    assert np.concatenate(slices).tobytes() == orbit.tobytes()
-    for k, (perm, head) in enumerate(rounds):
-        assert head.tobytes() == orbit[:min(chaos.WHITENING_ROWS, (k + 1) * rows)].tobytes()
+    assert [len(s) for s in slices] == [max(rows, chaos.WHITENING_ROWS)] + [rows] * (n - 1)
+    assert slices[0].tobytes() == orbit[:len(slices[0])].tobytes()
+    assert np.concatenate([s[:rows] for s in slices]).tobytes() == orbit.tobytes()
+    assert head.tobytes() == orbit[:chaos.WHITENING_ROWS].tobytes()
+    assert not np.shares_memory(head, slices[0])  # a view would keep round 1's slice alive
+    for k, perm in enumerate(perms):
         sequence = chaos.build_sort_sequence(orbit[k * rows:], mn)
         assert np.array_equal(perm, chaos.argsort_ascending(sequence))
-    assert rounds[-1][1].tobytes() == orbit[:chaos.WHITENING_ROWS].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4), (16, 16)])
 @pytest.mark.parametrize("n", [3, 5])
 def test_gh401_makes_one_orbit_slice_per_round(monkeypatch, shape, n):
-    # Below 16 pixels the whitening rows span the first ceil(6 / rows)
-    # slices, 3 at 2x2, so encryption takes those rounds before round 1;
-    # three rounds always cover them, so no slice is made beyond round n.
+    # Below 16 pixels round 1's slice is lengthened to hold the whitening
+    # rows, so neither direction makes a slice beyond round n.
     img = random_image(np.random.default_rng(17), *shape)
     calls = []
     generate = cipher.generate_orbit
@@ -664,6 +666,24 @@ def test_gh401_makes_one_orbit_slice_per_round(monkeypatch, shape, n):
     assert len(calls) == n
     assert np.array_equal(cipher.decrypt_gh401(c, env, AES), img)
     assert len(calls) == 2 * n
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4)])
+def test_gh401_applies_each_round_before_making_the_next_slice(monkeypatch, shape):
+    # Every image size takes one path: round k's slice, then round k's
+    # permutation, whether or not one round's block covers the whitening rows.
+    img = random_image(np.random.default_rng(18), *shape)
+    order = []
+
+    def spy(name, mark):
+        real = getattr(cipher, name)
+        monkeypatch.setattr(cipher, name, lambda *args, **kwargs:
+                            order.append(mark) or real(*args, **kwargs))
+
+    spy("generate_orbit", "o")
+    spy("permute_gh401", "p")
+    cipher.encrypt_gh401(img, PARAMS, 3, AES)
+    assert "".join(order) == "opopop"
 
 
 @pytest.mark.parametrize("d", [11.5, 12.0, 12.5])
@@ -732,3 +752,33 @@ def test_golden_ciphertext_digests(scheme, system, sbox_name):
         digest.update(c.tobytes())
         digest.update(key.to_bytes() if scheme == cipher.SCHEME_IEAHF else key.to_text().encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[scheme, system, sbox_name]
+
+
+# SHA-256 over ciphertext and key material of seeded random 2x2, 2x4, 4x2,
+# 2x6 and 6x2 images, per (scheme, system, rounds), with the parameters of
+# GOLDEN_DIGESTS.  Below 16 pixels a round takes fewer orbit rows than the
+# whitening key, so here the whitening rows span several rounds' slices.
+SMALL_IMAGE_DIGESTS = {
+    ("GH401", "reftestmap", 3): "8647544dfe5e842858b314cf2a36af8dd28260b396e75f886d4be666732d23b1",
+    ("GH401", "reftestmap", 5): "a5cc9cbcc75b90e020cc5909ad2618e46710d1d410b99e3c330628d4aabb235a",
+    ("GH401", "hosny6d", 3): "59eb28b958200fb2830edb5872528dea9c1e0344f86c2c3fd31f8a592a44a0aa",
+    ("GH401", "hosny6d", 5): "77e274f56b22026cd93242773dd71269d139b8d5863d7d334ff7177aba58cc7c",
+    ("IEAHF", "reftestmap", 1): "02cb319861e3068baa41bc802a853d912b42fc601feba310513b75d828ff426f",
+    ("IEAHF", "reftestmap", 2): "a0f099cdf65971bf5b45c54d0ff3e6425583a330b476763f21742c3c895a02d2",
+    ("IEAHF", "hosny6d", 1): "696e6b9521f8cbf45b5d4b7956ccd30d1a5db6ee1882e36b82bae275144ac896",
+    ("IEAHF", "hosny6d", 2): "1eb412bd674a5f9c4cc3021287b991938167e8666ad3a83a50bb8f4ecd8a0329",
+}
+
+
+@pytest.mark.parametrize("scheme, system, n", list(SMALL_IMAGE_DIGESTS))
+def test_golden_small_image_digests(scheme, system, n):
+    params = (chaos.draw_params(system, 7) if system == "hosny6d"
+              else chaos.default_params(system))
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(16)
+    for shape in ((2, 2), (2, 4), (4, 2), (2, 6), (6, 2)):
+        c, key = cipher.encrypt(scheme, random_image(rng, *shape), params, n, sbox=AES,
+                                system=system)
+        digest.update(c.tobytes())
+        digest.update(key.to_bytes())
+    assert digest.hexdigest() == SMALL_IMAGE_DIGESTS[scheme, system, n]
